@@ -221,14 +221,12 @@ const traceDemoShards = 4
 // tying accesses across layers.
 func runTraceDemo(out io.Writer, telReg *telemetry.Registry, tracer *cop.Tracer, path string) error {
 	tracer.Start()
-	mem, err := cop.NewShardedMemoryChecked(cop.ShardedMemoryConfig{
-		Mem:    cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8, Tracer: tracer},
-		Shards: traceDemoShards,
-	})
+	st, err := cop.Open(cop.WithMode(cop.ModeCOP), cop.WithLLC(64*1024, 8), cop.WithTracer(tracer),
+		cop.WithShards(traceDemoShards), cop.WithTelemetryRegistry(telReg))
 	if err != nil {
 		return err
 	}
-	telReg.Set(mem)
+	mem := st.(*cop.ShardedMemory)
 	p, err := workload.Get("gcc")
 	if err != nil {
 		return err
@@ -356,11 +354,11 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int, bat
 
 	// -parallel takes a free goroutine count; shard counts must be powers
 	// of two, so round up (the config rules reject anything else).
-	sharded, err := cop.NewShardedMemoryChecked(cop.ShardedMemoryConfig{Mem: memCfg, Shards: shard.NextPow2(n)})
+	st, err := cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(shard.NextPow2(n)), cop.WithTelemetryRegistry(telReg))
 	if err != nil {
 		return err
 	}
-	telReg.Set(sharded)
+	sharded := st.(*cop.ShardedMemory)
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	start = time.Now()
@@ -396,16 +394,13 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int, bat
 	// groups with a window of outstanding operations per goroutine, so each
 	// shard's worker executes deep batches under one lock acquisition.
 	const window = 128
-	bm, err := cop.NewBatchedMemoryChecked(cop.BatchedMemoryConfig{
-		Shard:    cop.ShardedMemoryConfig{Mem: memCfg, Shards: shard.NextPow2(n)},
-		RingSize: 4 * window,
-		BatchMax: window,
-	})
+	st, err = cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(shard.NextPow2(n)),
+		cop.WithBatching(4*window, window), cop.WithTelemetryRegistry(telReg))
 	if err != nil {
 		return err
 	}
+	bm := st.(*cop.BatchedMemory)
 	defer bm.Close()
-	telReg.Set(bm)
 	bworker := func(seed int64, ops int) error {
 		wr := rand.New(rand.NewSource(seed))
 		grp := bm.NewGroup()
@@ -478,14 +473,12 @@ func runMigrate(out io.Writer, telReg *telemetry.Registry, n int) error {
 	}
 	const footprint = 1 << 12 // blocks (256 KB), past the 64 KB LLC below
 	memCfg := cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}
-	bm, err := cop.NewBatchedMemoryChecked(cop.BatchedMemoryConfig{
-		Shard: cop.ShardedMemoryConfig{Mem: memCfg, Shards: 4},
-	})
+	st, err := cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(4), cop.WithBatching(0, 0), cop.WithTelemetryRegistry(telReg))
 	if err != nil {
 		return err
 	}
+	bm := st.(*cop.BatchedMemory)
 	defer bm.Close()
-	telReg.Set(bm)
 
 	rng := rand.New(rand.NewSource(0x316))
 	blocks := make([][]byte, footprint)

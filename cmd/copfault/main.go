@@ -152,7 +152,7 @@ func campaign(p *workload.Profile, mode memctrl.Mode, blocks, flips int, seed ui
 		} else if !mem.InjectBitFlip(addr, bit) {
 			continue
 		}
-		before := mem.Stats().CorrectedErrors
+		before := mem.Snapshot().Controller.CorrectedErrors
 		got, err := mem.Read(addr)
 		switch {
 		case err != nil:
@@ -162,7 +162,7 @@ func campaign(p *workload.Profile, mode memctrl.Mode, blocks, flips int, seed ui
 			// Wrong data, no error: the flight-recorder black box for
 			// exactly this moment (first silent corruption wins).
 			tracer.TriggerAnomaly(trace.ReasonSilentCorruption, addr)
-		case mem.Stats().CorrectedErrors > before:
+		case mem.Snapshot().Controller.CorrectedErrors > before:
 			res.corrected++
 		}
 		// Restore a clean DRAM image for the next trial.

@@ -123,7 +123,8 @@ type ReadInfo = memctrl.ReadInfo
 
 // Store is the common protected-memory surface every front-end exposes:
 // whole-block reads and writes at 64-byte granularity, a dirty-line flush,
-// and the unified telemetry snapshot. Memory, ShardedMemory, and
+// and the unified telemetry snapshot (the hierarchy's only counter
+// surface). Memory, ShardedMemory, and
 // BatchedMemory all implement it, as does copnet's network client — so
 // servers, load generators, campaigns, and tests can be written once
 // against Store and handed any front-end (local or remote).
@@ -153,11 +154,12 @@ var (
 	_ Store = (*BatchedMemory)(nil)
 )
 
-// Telemetry, re-exported from internal/telemetry: both Memory and
-// ShardedMemory produce the same Snapshot tree (Snapshot method), so all
-// counter consumption — JSON, Prometheus text, expvar, campaign results —
-// goes through exactly one API. The legacy Stats surfaces remain as
-// deprecated thin wrappers over these snapshots.
+// Telemetry, re-exported from internal/telemetry: every Store produces the
+// same Snapshot tree (Snapshot method), so all counter consumption — JSON,
+// Prometheus text, expvar, campaign results — goes through exactly one API.
+// Individual events (corrections, uncorrectable reads, scrubs, retained
+// aliases) are recorded by the execution tracer (Tracer), not delivered
+// as callbacks.
 type (
 	// Snapshot is the coherent telemetry tree for one memory hierarchy:
 	// controller, cache, optional region and DRAM sections, plus derived
@@ -165,9 +167,6 @@ type (
 	// that a sharded and an unsharded run of the same single-threaded
 	// trace produce byte-identical JSON.
 	Snapshot = telemetry.Snapshot
-	// TelemetryEvent is one hierarchy event delivered to hook
-	// subscribers (Memory.Subscribe).
-	TelemetryEvent = telemetry.Event
 	// TelemetrySource is anything that produces a Snapshot; Memory,
 	// ShardedMemory, and TelemetryRegistry all satisfy it.
 	TelemetrySource = telemetry.Source
@@ -231,24 +230,13 @@ type ShardedMemory = shard.Controller
 // shard.Config: Mem.LLCBytes is the TOTAL capacity, each shard gets
 // LLCBytes/Shards, and an explicit Shards must be a power of two no larger
 // than the LLC set count (zero means auto). Invalid combinations are
-// errors (NewShardedMemoryChecked), never silently rounded.
+// errors from Open, never silently rounded.
 type ShardedMemoryConfig = shard.Config
 
 // NewShardedMemory builds a sharded, concurrency-safe memory model. It
-// panics on an invalid config; use NewShardedMemoryChecked to get the
-// error instead.
+// panics on an invalid config; use Open(WithMemoryConfig(cfg.Mem),
+// WithShards(cfg.Shards)) to get the error instead.
 func NewShardedMemory(cfg ShardedMemoryConfig) *ShardedMemory { return shard.New(cfg) }
-
-// NewShardedMemoryChecked builds a sharded memory model, reporting invalid
-// configs (non-power-of-two shard count, shards exceeding LLC sets,
-// non-power-of-two set geometry) as errors.
-//
-// Deprecated: use Open(WithMemoryConfig(cfg.Mem), WithShards(cfg.Shards));
-// Open is the one constructor that covers every front-end behind the Store
-// interface. This wrapper remains for callers that need the concrete type.
-func NewShardedMemoryChecked(cfg ShardedMemoryConfig) (*ShardedMemory, error) {
-	return shard.NewChecked(cfg)
-}
 
 // BatchedMemory is the batched, concurrency-safe protected-memory model:
 // the same striping, telemetry, and memory image as ShardedMemory, but
@@ -280,19 +268,8 @@ const (
 )
 
 // NewBatchedMemory builds a batched memory model. It panics on an invalid
-// config; use NewBatchedMemoryChecked to get the error instead.
+// config; use Open with WithBatching to get the error instead.
 func NewBatchedMemory(cfg BatchedMemoryConfig) *BatchedMemory { return shard.NewBatched(cfg) }
-
-// NewBatchedMemoryChecked builds a batched memory model, reporting invalid
-// configs (bad shard geometry, non-power-of-two ring size) as errors.
-//
-// Deprecated: use Open(WithMemoryConfig(cfg.Shard.Mem),
-// WithShards(cfg.Shard.Shards), WithBatching(cfg.RingSize, cfg.BatchMax));
-// Open is the one constructor that covers every front-end behind the Store
-// interface. This wrapper remains for callers that need the concrete type.
-func NewBatchedMemoryChecked(cfg BatchedMemoryConfig) (*BatchedMemory, error) {
-	return shard.NewBatchedChecked(cfg)
-}
 
 // --- unified constructor -------------------------------------------------
 
@@ -379,10 +356,8 @@ func WithTelemetryRegistry(reg *TelemetryRegistry) Option {
 //     workers; Close it when done).
 //
 // Invalid combinations (unknown scheme name, bad shard geometry,
-// non-power-of-two ring size) are reported as errors, never panics. The
-// deprecated NewShardedMemoryChecked / NewBatchedMemoryChecked remain as
-// thin wrappers for callers that need the concrete types without a type
-// assertion.
+// non-power-of-two ring size) are reported as errors, never panics.
+// Callers that need the concrete type assert to it (st.(*ShardedMemory)).
 func Open(opts ...Option) (Store, error) {
 	var c openConfig
 	for _, opt := range opts {

@@ -71,7 +71,7 @@ func ExampleNewMemory() {
 	got, err := mem.Read(0x4000)
 	fmt.Println("read ok:", err == nil)
 	fmt.Println("data intact:", bytes.Equal(got, data))
-	fmt.Println("errors corrected:", mem.Stats().CorrectedErrors)
+	fmt.Println("errors corrected:", mem.Snapshot().Controller.CorrectedErrors)
 	// Output:
 	// read ok: true
 	// data intact: true

@@ -85,14 +85,14 @@ func runMode(p *workload.Profile, name string) {
 		if !mem.InjectBitFlip(addr, bit) {
 			continue
 		}
-		before := mem.Stats().CorrectedErrors
+		before := mem.Snapshot().Controller.CorrectedErrors
 		got, err := mem.Read(addr)
 		switch {
 		case err != nil:
 			detected++ // uncorrectable but not silent
 		case !bytes.Equal(got, ref[addr]):
 			silent++
-		case mem.Stats().CorrectedErrors > before:
+		case mem.Snapshot().Controller.CorrectedErrors > before:
 			corrected++
 		default:
 			clean++ // flip landed on a dead copy (e.g. block was re-fetched clean)
@@ -100,7 +100,7 @@ func runMode(p *workload.Profile, name string) {
 		// Restore DRAM to a clean image for the next trial: evict the
 		// (clean) line and undo the flip if it is still latent.
 		mem.LLC().Evict(addr)
-		if err == nil && bytes.Equal(got, ref[addr]) && mem.Stats().CorrectedErrors == before {
+		if err == nil && bytes.Equal(got, ref[addr]) && mem.Snapshot().Controller.CorrectedErrors == before {
 			// nothing consumed the flip: revert it
 			mem.InjectBitFlip(addr, bit)
 		} else if err != nil || !bytes.Equal(got, ref[addr]) {

@@ -95,7 +95,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := s.mem.Stats()
+	st := s.mem.Snapshot().Controller
 	fmt.Printf("stored %d records in %d blocks (%d compressed+protected, %d via ECC region)\n",
 		len(reference), st.Writebacks, st.StoredCompressed, st.StoredRaw)
 
@@ -119,7 +119,7 @@ func main() {
 		}
 	}
 	fmt.Printf("all %d records intact; %d errors corrected, 0 silent corruptions\n",
-		len(reference), s.mem.Stats().CorrectedErrors)
+		len(reference), s.mem.Snapshot().Controller.CorrectedErrors)
 	fmt.Println("\nsame store on unprotected memory:")
 
 	u := newStore(cop.MemoryConfig{Mode: cop.ModeUnprotected, LLCBytes: 64 * 1024, LLCWays: 8})

@@ -63,7 +63,7 @@ func main() {
 	if err := mem.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	st := mem.Stats()
+	st := mem.Snapshot().Controller
 	fmt.Printf("stored %d documents in %d blocks: %d compressed+protected, %d raw\n",
 		len(layout), st.Writebacks, st.StoredCompressed, st.StoredRaw)
 
@@ -101,10 +101,10 @@ func main() {
 			log.Fatalf("%s: corrupted after injection!", name)
 		}
 		fmt.Printf("  %-18s %4d bytes — intact (errors corrected: %v)\n",
-			name, length, mem.Stats().CorrectedErrors > 0)
+			name, length, mem.Snapshot().Controller.CorrectedErrors > 0)
 	}
 	fmt.Printf("\ntotal corrected errors: %d; silent corruptions: 0\n",
-		mem.Stats().CorrectedErrors)
+		mem.Snapshot().Controller.CorrectedErrors)
 }
 
 func min(a, b int) int {

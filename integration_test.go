@@ -54,7 +54,7 @@ func TestAliasFloodOverflowsLLCSet(t *testing.T) {
 			t.Fatalf("alias %d corrupted", i)
 		}
 	}
-	if ctrl.LLC().Stats().Spills == 0 {
+	if ctrl.LLC().Telemetry().Spills == 0 {
 		t.Fatal("expected set-overflow spills with 10 aliases in a 4-way set")
 	}
 }
@@ -213,7 +213,7 @@ func TestCOPERRegionLifecycle(t *testing.T) {
 	if err := ctrl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	allocated := ctrl.ER().Region().Stats().Allocated
+	allocated := ctrl.ER().Region().Telemetry().Live
 	if allocated == 0 {
 		t.Fatal("phase 1: no entries allocated")
 	}
@@ -231,7 +231,7 @@ func TestCOPERRegionLifecycle(t *testing.T) {
 	if err := ctrl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	after := ctrl.ER().Region().Stats().Allocated
+	after := ctrl.ER().Region().Telemetry().Live
 	if after >= allocated {
 		t.Fatalf("entries not freed: %d -> %d", allocated, after)
 	}

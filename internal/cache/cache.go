@@ -41,22 +41,6 @@ type way struct {
 	lru   uint64
 }
 
-// Stats counts cache events.
-//
-// Deprecated: Stats is the legacy counter surface, kept so existing
-// callers compile; it is now a thin copy of the telemetry counters. New
-// code should read Cache.Telemetry (a telemetry.CacheStats section of the
-// unified snapshot tree) instead.
-type Stats struct {
-	Hits, Misses     uint64
-	Evictions        uint64
-	Writebacks       uint64 // dirty evictions handed to the caller
-	AliasPins        uint64 // victim selections that skipped an alias line
-	Spills           uint64 // alias lines pushed to a set's overflow list
-	OverflowSearches uint64 // misses that had to walk an overflow list
-	OverflowHits     uint64
-}
-
 // Cache is a set-associative, true-LRU cache. Not safe for concurrent use.
 type Cache struct {
 	sets     [][]way
@@ -122,23 +106,6 @@ func (c *Cache) Sets() int { return len(c.sets) }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-// Stats returns a copy of the counters.
-//
-// Deprecated: thin wrapper over Telemetry; use Telemetry in new code.
-func (c *Cache) Stats() Stats {
-	t := c.Telemetry()
-	return Stats{
-		Hits:             t.Hits,
-		Misses:           t.Misses,
-		Evictions:        t.Evictions,
-		Writebacks:       t.Writebacks,
-		AliasPins:        t.AliasPins,
-		Spills:           t.Spills,
-		OverflowSearches: t.OverflowSearches,
-		OverflowHits:     t.OverflowHits,
-	}
-}
 
 // Telemetry returns the cache's section of the unified snapshot tree.
 func (c *Cache) Telemetry() telemetry.CacheStats { return c.tel.Snapshot() }

@@ -21,7 +21,7 @@ func TestBasicHitMiss(t *testing.T) {
 	if _, _, _, hit := c.Lookup(0x1000 + 37); !hit {
 		t.Fatal("unaligned lookup missed")
 	}
-	st := c.Stats()
+	st := c.Telemetry()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -59,8 +59,8 @@ func TestDirtyWriteback(t *testing.T) {
 	if !wb || !victim.Dirty || victim.Addr != 0 {
 		t.Fatalf("expected dirty victim addr 0, got %+v wb=%v", victim, wb)
 	}
-	if c.Stats().Writebacks != 1 {
-		t.Fatalf("stats: %+v", c.Stats())
+	if c.Telemetry().Writebacks != 1 {
+		t.Fatalf("stats: %+v", c.Telemetry())
 	}
 }
 
@@ -81,7 +81,7 @@ func TestAliasLinesPinned(t *testing.T) {
 			t.Fatalf("alias line %d evicted", i)
 		}
 	}
-	if c.Stats().AliasPins == 0 {
+	if c.Telemetry().AliasPins == 0 {
 		t.Fatal("alias pin not counted")
 	}
 }
@@ -100,8 +100,8 @@ func TestSetOverflowSpill(t *testing.T) {
 	if c.OverflowLen() != 1 {
 		t.Fatalf("overflow len = %d", c.OverflowLen())
 	}
-	if c.Stats().Spills != 1 {
-		t.Fatalf("stats: %+v", c.Stats())
+	if c.Telemetry().Spills != 1 {
+		t.Fatalf("stats: %+v", c.Telemetry())
 	}
 	// Every alias block is still reachable.
 	for i := 0; i <= 4; i++ {
@@ -126,7 +126,7 @@ func TestOverflowLookupPromotes(t *testing.T) {
 	if wb {
 		t.Fatal("promotion into an all-alias set spills — it must not write back")
 	}
-	st := c.Stats()
+	st := c.Telemetry()
 	if st.OverflowSearches != 1 || st.OverflowHits != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -173,8 +173,8 @@ func TestOverflowMissStillMiss(t *testing.T) {
 	if _, _, _, hit := c.Lookup(100 * stride); hit {
 		t.Fatal("unexpected hit")
 	}
-	if c.Stats().OverflowSearches != 1 {
-		t.Fatalf("stats: %+v (miss in an overflowed set must search the list)", c.Stats())
+	if c.Telemetry().OverflowSearches != 1 {
+		t.Fatalf("stats: %+v (miss in an overflowed set must search the list)", c.Telemetry())
 	}
 }
 
@@ -299,7 +299,7 @@ func TestHitRateSanity(t *testing.T) {
 			}
 		}
 	}
-	st := c.Stats()
+	st := c.Telemetry()
 	if st.Misses != 512 {
 		t.Fatalf("expected 512 cold misses only, got %d", st.Misses)
 	}

@@ -33,7 +33,7 @@ func TestERInlinePath(t *testing.T) {
 	if !bytes.Equal(got, b) {
 		t.Fatal("round trip mismatch")
 	}
-	if er.Store().Stats().Allocated != 0 {
+	if er.Store().Telemetry().Live != 0 {
 		t.Fatal("inline blocks must not allocate entries")
 	}
 }
@@ -170,8 +170,8 @@ func TestEREntryReuseAndFree(t *testing.T) {
 	if err != nil || !inline || ptr3 != NoPointer {
 		t.Fatalf("free path: %v", err)
 	}
-	if er.Store().Stats().Allocated != 0 {
-		t.Fatalf("entry leaked: %d", er.Store().Stats().Allocated)
+	if er.Store().Telemetry().Live != 0 {
+		t.Fatalf("entry leaked: %d", er.Store().Telemetry().Live)
 	}
 }
 

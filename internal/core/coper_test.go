@@ -33,7 +33,7 @@ func TestERWriteReadCompressible(t *testing.T) {
 			t.Fatal("round trip mismatch")
 		}
 	}
-	if er.Region().Stats().Allocated != 0 {
+	if er.Region().Telemetry().Live != 0 {
 		t.Fatal("compressible blocks must not allocate entries")
 	}
 }
@@ -135,8 +135,8 @@ func TestEREntryReuseOnRewrite(t *testing.T) {
 	if ptr2 != ptr {
 		t.Fatalf("entry not reused: %d -> %d", ptr, ptr2)
 	}
-	if er.Region().Stats().Allocated != 1 {
-		t.Fatalf("allocated = %d, want 1", er.Region().Stats().Allocated)
+	if er.Region().Telemetry().Live != 1 {
+		t.Fatalf("allocated = %d, want 1", er.Region().Telemetry().Live)
 	}
 	got, _, err := er.Read(image2)
 	if err != nil || !bytes.Equal(got, b2) {
@@ -152,7 +152,7 @@ func TestEREntryFreedWhenBlockBecomesCompressible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if er.Region().Stats().Allocated != 1 {
+	if er.Region().Telemetry().Live != 1 {
 		t.Fatal("setup: expected one entry")
 	}
 	_, ptr2, compressed, err := er.Write(pointerBlock(rng), ptr)
@@ -162,8 +162,8 @@ func TestEREntryFreedWhenBlockBecomesCompressible(t *testing.T) {
 	if !compressed || ptr2 != NoPointer {
 		t.Fatal("expected compressed write")
 	}
-	if er.Region().Stats().Allocated != 0 {
-		t.Fatalf("stale entry not freed: allocated = %d", er.Region().Stats().Allocated)
+	if er.Region().Telemetry().Live != 0 {
+		t.Fatalf("stale entry not freed: allocated = %d", er.Region().Telemetry().Live)
 	}
 }
 
@@ -271,7 +271,7 @@ func TestERManyBlocksSharedRegion(t *testing.T) {
 		}
 		all = append(all, stored{img, b})
 	}
-	if got := er.Region().Stats().Allocated; got != 200 {
+	if got := er.Region().Telemetry().Live; got != 200 {
 		t.Fatalf("allocated = %d", got)
 	}
 	for i, s := range all {

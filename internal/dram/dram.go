@@ -115,21 +115,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats counts accesses and row-buffer outcomes.
-//
-// Deprecated: legacy counter surface, kept (with this exact field set and
-// order — the sim golden test prints it with %+v) as a thin copy of the
-// telemetry counters. New code should read Telemetry, which adds latency
-// and queue-delay histograms.
-type Stats struct {
-	Reads, Writes         uint64
-	RowHits, RowMisses    uint64
-	RowConflicts          uint64 // row miss that also required a precharge
-	TotalLatency          uint64 // sum of (finish - issue) in memory cycles
-	TotalQueueDelay       uint64 // sum of (start - issue)
-	MaxObservedConcurrent int
-}
-
 // Request is one block access.
 type Request struct {
 	Addr  uint64 // byte address
@@ -189,30 +174,6 @@ func New(cfg Config) *System {
 
 // Config returns the system geometry.
 func (s *System) Config() Config { return s.cfg }
-
-// Stats returns a copy of the counters.
-//
-// Deprecated: thin wrapper over the telemetry counters; use Telemetry in
-// new code.
-func (s *System) Stats() Stats {
-	t := s.tel.Snapshot()
-	return Stats{
-		Reads:                 t.Reads,
-		Writes:                t.Writes,
-		RowHits:               t.RowHits,
-		RowMisses:             t.RowMisses,
-		RowConflicts:          t.RowConflicts,
-		TotalLatency:          t.TotalLatency,
-		TotalQueueDelay:       t.TotalQueueDelay,
-		MaxObservedConcurrent: int(t.MaxConcurrent),
-	}
-}
-
-// ResetStats clears the counters without disturbing bank state.
-//
-// Deprecated: resets the telemetry counters; prefer taking snapshots and
-// differencing them.
-func (s *System) ResetStats() { s.tel.Reset() }
 
 // Telemetry returns the DRAM section of the unified snapshot tree,
 // including the per-access latency and queue-delay histograms.

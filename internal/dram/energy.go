@@ -1,5 +1,7 @@
 package dram
 
+import "cop/internal/telemetry"
+
 // Energy model: the paper's motivation is cost — ECC DIMMs "substantially
 // increase power consumption relative to non-ECC DIMMs" because the ninth
 // chip draws background power and participates in every access. This
@@ -50,7 +52,7 @@ func NewEnergyAccount(params EnergyParams, chipsPerRank int) *EnergyAccount {
 // the elapsed time (in memory cycles). Every chip in the rank participates
 // in every access (×8 DIMMs drive all chips per burst), and all chips of
 // all ranks burn background power for the whole run.
-func (a *EnergyAccount) Charge(st Stats, elapsedCycles uint64, totalRanks int) {
+func (a *EnergyAccount) Charge(st telemetry.DRAMStats, elapsedCycles uint64, totalRanks int) {
 	chips := float64(a.ChipsPerRank)
 	a.totalNJ += float64(st.RowMisses) * a.params.ActivateNJ * chips
 	a.totalNJ += float64(st.Reads) * a.params.ReadNJ * chips

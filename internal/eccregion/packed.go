@@ -45,20 +45,6 @@ var ErrFull = errors.New("eccregion: pointer space exhausted")
 // allocated.
 var ErrInvalidEntry = errors.New("eccregion: entry not valid")
 
-// Stats counts region traffic and occupancy.
-//
-// Deprecated: legacy counter surface, kept as a thin copy of the telemetry
-// counters; new code should read Telemetry (which adds alloc/free totals).
-type Stats struct {
-	// Reads and Writes count 64-byte block accesses to the region
-	// (entry blocks and valid-bit tree blocks).
-	Reads, Writes uint64
-	// Allocated is the current number of live entries.
-	Allocated uint64
-	// HighWater is the maximum number of simultaneously live entries.
-	HighWater uint64
-}
-
 // NewPacked builds an empty store with the given payload size per entry.
 // At least one entry must fit a 64-byte block.
 func NewPacked(payloadBits int) *PackedStore {
@@ -82,20 +68,6 @@ func (r *PackedStore) PayloadBytes() int { return (r.payloadBits + 7) / 8 }
 
 // EntriesPerBlockCount returns how many entries fit one 64-byte block.
 func (r *PackedStore) EntriesPerBlockCount() int { return r.entriesPerBlock }
-
-// Stats returns a copy of the store's counters.
-//
-// Deprecated: thin wrapper over the telemetry counters; use Telemetry in
-// new code.
-func (r *PackedStore) Stats() Stats {
-	t := r.Telemetry()
-	return Stats{
-		Reads:     t.Reads,
-		Writes:    t.Writes,
-		Allocated: uint64(t.Live),
-		HighWater: t.HighWater,
-	}
-}
 
 // Telemetry returns the region section of the unified snapshot tree,
 // including the store's current block footprint.

@@ -177,14 +177,14 @@ func TestStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	r := New()
 	p, _ := r.Allocate(randEntry(rng), nil)
-	if s := r.Stats(); s.Allocated != 1 || s.HighWater != 1 || s.Writes == 0 {
+	if s := r.Telemetry(); s.Live != 1 || s.HighWater != 1 || s.Writes == 0 {
 		t.Fatalf("stats after alloc: %+v", s)
 	}
 	r.Free(p)
-	if s := r.Stats(); s.Allocated != 0 || s.HighWater != 1 {
+	if s := r.Telemetry(); s.Live != 0 || s.HighWater != 1 {
 		t.Fatalf("stats after free: %+v", s)
 	}
-	if r.Stats().Reads == 0 {
+	if r.Telemetry().Reads == 0 {
 		t.Fatal("reads not counted")
 	}
 }
@@ -200,13 +200,13 @@ func TestMRUAvoidsRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := r.Stats().Reads
+	before := r.Telemetry().Reads
 	for i := 0; i < 10; i++ {
 		if _, err := r.Allocate(randEntry(rng), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	perAlloc := float64(r.Stats().Reads-before) / 10
+	perAlloc := float64(r.Telemetry().Reads-before) / 10
 	if perAlloc > 8 {
 		t.Fatalf("allocator performs %.1f block reads per allocation; tree not effective", perAlloc)
 	}

@@ -72,14 +72,14 @@ func chipFail(o Options) (*Report, error) {
 			if !mem.InjectChipFailure(addr, chip, byte(rng.next())) {
 				continue
 			}
-			before := mem.Stats().CorrectedErrors
+			before := mem.Snapshot().Controller.CorrectedErrors
 			got, rerr := mem.Read(addr)
 			switch {
 			case rerr != nil:
 				detected++
 			case !bytes.Equal(got, ref[addr]):
 				silent++
-			case mem.Stats().CorrectedErrors > before:
+			case mem.Snapshot().Controller.CorrectedErrors > before:
 				corrected++
 			}
 			// Restore for the next trial.

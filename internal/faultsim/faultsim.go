@@ -288,13 +288,10 @@ type Target interface {
 	Snapshot() telemetry.Snapshot
 }
 
-// target is the historical internal name.
-type target = Target
-
 var (
-	_ target = (*memctrl.Controller)(nil)
-	_ target = (*shard.Controller)(nil)
-	_ target = (*shard.Batched)(nil)
+	_ Target = (*memctrl.Controller)(nil)
+	_ Target = (*shard.Controller)(nil)
+	_ Target = (*shard.Batched)(nil)
 )
 
 // rng is splitmix64: tiny, seedable, and stable across Go versions (the
@@ -532,7 +529,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	memCfg := memctrl.Config{Mode: cfg.Mode, LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays, Tracer: cfg.Tracer}
 	external := cfg.Memory != nil
-	var mem target
+	var mem Target
 	if external {
 		mem = cfg.Memory
 	} else if cfg.Workers > 1 {
@@ -748,7 +745,7 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func readBlock(t target, addr uint64) ([]byte, error) {
+func readBlock(t Target, addr uint64) ([]byte, error) {
 	data, _, err := t.ReadWithInfo(addr)
 	return data, err
 }

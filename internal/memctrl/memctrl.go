@@ -72,44 +72,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Stats counts controller events.
-//
-// Deprecated: Stats is the legacy counter surface, kept so existing
-// callers compile; it is now a thin copy of the telemetry counters. New
-// code should read Controller.Snapshot (the unified telemetry tree, which
-// adds the cache and region sections, histograms, and derived rates).
-type Stats struct {
-	Loads, Stores         uint64
-	Fills, Writebacks     uint64
-	StoredCompressed      uint64
-	StoredRaw             uint64
-	AliasRetained         uint64 // writebacks rejected, line pinned in LLC
-	CorrectedErrors       uint64
-	UncorrectableErrors   uint64
-	RegionReads           uint64 // COP-ER / ECC-region metadata accesses
-	Scrubs                uint64 // corrected images rewritten to DRAM
-	EverIncompressible    uint64 // distinct blocks ever written raw (Fig 12)
-	DIMMCheckBytesWritten uint64
-}
-
-// Add accumulates o's counters into s (used by sharded front-ends to sum
-// per-shard statistics).
-func (s *Stats) Add(o Stats) {
-	s.Loads += o.Loads
-	s.Stores += o.Stores
-	s.Fills += o.Fills
-	s.Writebacks += o.Writebacks
-	s.StoredCompressed += o.StoredCompressed
-	s.StoredRaw += o.StoredRaw
-	s.AliasRetained += o.AliasRetained
-	s.CorrectedErrors += o.CorrectedErrors
-	s.UncorrectableErrors += o.UncorrectableErrors
-	s.RegionReads += o.RegionReads
-	s.Scrubs += o.Scrubs
-	s.EverIncompressible += o.EverIncompressible
-	s.DIMMCheckBytesWritten += o.DIMMCheckBytesWritten
-}
-
 // ErrUncorrectable is surfaced when ECC detects an unrepairable error.
 var ErrUncorrectable = errors.New("memctrl: uncorrectable memory error")
 
@@ -135,7 +97,7 @@ const (
 
 // ReadInfo reports what the controller observed servicing one read — the
 // decoder verdicts that fault-injection classification needs, which the
-// plain Read path only folds into aggregate Stats.
+// plain Read path only folds into the aggregate telemetry counters.
 type ReadInfo struct {
 	// LLCHit: the read was served from the cache; no DRAM image decoded.
 	LLCHit bool
@@ -182,8 +144,7 @@ type Controller struct {
 	freeBlk    [][]byte              // recycled line buffers (see getBlock)
 	old        *oldScheme            // non-nil while a live scheme migration is in flight
 	tel        telemetry.ControllerCounters
-	hooks      *telemetry.Hooks // nil until the first Subscribe
-	th         *trace.Handle    // nil until AttachTracer; nil-safe
+	th         *trace.Handle // nil until AttachTracer; nil-safe
 }
 
 // Config parameterizes the controller.
@@ -279,29 +240,6 @@ func (c *Controller) Tracer() *trace.Handle { return c.th }
 // Mode returns the protection mode.
 func (c *Controller) Mode() Mode { return c.mode }
 
-// Stats returns a copy of the counters.
-//
-// Deprecated: thin wrapper over the telemetry counters; use Snapshot in
-// new code.
-func (c *Controller) Stats() Stats {
-	t := c.tel.Snapshot()
-	return Stats{
-		Loads:                 t.Loads,
-		Stores:                t.Stores,
-		Fills:                 t.Fills,
-		Writebacks:            t.Writebacks,
-		StoredCompressed:      t.StoredCompressed,
-		StoredRaw:             t.StoredRaw,
-		AliasRetained:         t.AliasRetained,
-		CorrectedErrors:       t.CorrectedErrors,
-		UncorrectableErrors:   t.UncorrectableErrors,
-		RegionReads:           t.RegionReads,
-		Scrubs:                t.Scrubs,
-		EverIncompressible:    t.EverIncompressible,
-		DIMMCheckBytesWritten: t.DIMMCheckBytesWritten,
-	}
-}
-
 // Snapshot returns the controller's unified telemetry tree: its own
 // counters, the LLC section, and (in region-backed modes) the ECC-region
 // section, with derived rates computed. Safe to call at any time; the
@@ -322,24 +260,6 @@ func (c *Controller) Snapshot() telemetry.Snapshot {
 	}
 	s.Finalize()
 	return s
-}
-
-// Subscribe attaches fn to the controller's event stream (corrected /
-// uncorrectable / alias-retained / scrub events). Until the first
-// Subscribe the hot path pays only a nil check and never allocates.
-// Subscribers run synchronously on the accessing goroutine.
-func (c *Controller) Subscribe(fn func(telemetry.Event)) {
-	if c.hooks == nil {
-		c.hooks = &telemetry.Hooks{}
-	}
-	c.hooks.Attach(fn)
-}
-
-// emit delivers an event to subscribers, if any (nil-checked fast path).
-func (c *Controller) emit(name string, addr, value uint64) {
-	if c.hooks != nil {
-		c.hooks.Emit(telemetry.Event{Layer: "memctrl", Name: name, Addr: addr, Value: value})
-	}
 }
 
 // LLC exposes the cache (diagnostics and tests).
@@ -492,7 +412,6 @@ func (c *Controller) writebackOpt(victim cache.Line, recycle bool) error {
 		// cache.Insert pins alias lines, so this cannot recurse into
 		// another rejected writeback of the same line.
 		c.tel.AliasRetained.Inc()
-		c.emit("alias-retained", addr, 0)
 		c.traceAliasRetained(addr)
 		victim.Alias = true
 		return c.insert(victim)
@@ -676,7 +595,7 @@ func (c *Controller) Read(addr uint64) ([]byte, error) {
 
 // ReadWithInfo is Read plus the decoder observations for the access — the
 // hook fault-injection classifiers use to see the verdicts (compressed?
-// corrected? region consulted?) instead of inferring them from Stats
+// corrected? region consulted?) instead of inferring them from counter
 // deltas.
 func (c *Controller) ReadWithInfo(addr uint64) ([]byte, ReadInfo, error) {
 	out := make([]byte, BlockBytes)
@@ -714,22 +633,17 @@ func (c *Controller) ReadInto(dst []byte, addr uint64) (ReadInfo, error) {
 	c.tel.Fills.Inc()
 	line, info, err := c.fill(addr)
 	if err != nil {
-		c.emit("uncorrectable", addr, 0)
 		if c.th.Enabled() {
 			c.th.Record(trace.KindUncorrectable, addr, uint32(info.ValidCodewords), 0,
 				uint64(info.Corrected), uint64(c.mode), 0)
 		}
 		return info, err
 	}
-	if info.corrected() {
-		c.emit("corrected", addr, uint64(info.Corrected))
-	}
 	if c.scrub && info.corrected() {
 		if serr := c.scrubBlock(addr, line.Data); serr != nil {
 			return info, serr
 		}
 		c.tel.Scrubs.Inc()
-		c.emit("scrub", addr, 0)
 		if c.th.Enabled() {
 			c.th.Record(trace.KindScrub, addr, 0, trace.FlagWrite, 0, uint64(c.mode), 0)
 		}
@@ -927,7 +841,6 @@ func (c *Controller) Flush() error {
 			// flush (FlushAll invalidates the set entry after this
 			// callback, dropping the line), so record as retained.
 			c.tel.AliasRetained.Inc()
-			c.emit("alias-retained", l.Addr, 0)
 			c.traceAliasRetained(l.Addr)
 			c.aliasSpill = append(c.aliasSpill, l)
 			return

@@ -254,7 +254,6 @@ func (c *Controller) convertOne(addr uint64) error {
 		delete(c.kinds, addr)
 		o.dropEntry(addr)
 		c.tel.AliasRetained.Inc()
-		c.emit("alias-retained", addr, 0)
 		c.traceAliasRetained(addr)
 		if line, ok := c.llc.Peek(addr); ok {
 			line.Dirty = true
@@ -298,7 +297,6 @@ func (c *Controller) ScrubBlock(addr uint64) (scanned bool, err error) {
 	data, rinfo, err := c.decodeCurrent(addr, image)
 	if err != nil {
 		c.tel.ScrubUncorrectable.Inc()
-		c.emit("scrub-uncorrectable", addr, 0)
 		return true, err
 	}
 	if !rinfo.corrected() {
@@ -309,7 +307,6 @@ func (c *Controller) ScrubBlock(addr uint64) (scanned bool, err error) {
 		return true, err
 	}
 	c.tel.Scrubs.Inc()
-	c.emit("scrub", addr, 0)
 	if c.th.Enabled() {
 		c.th.Record(trace.KindScrub, addr, 0, trace.FlagWrite, 0, uint64(c.mode), 0)
 	}

@@ -54,15 +54,20 @@ func TestScrubberTelemetrySplit(t *testing.T) {
 	}
 	s := NewScrubber(bm, ScrubOptions{Interval: 50 * time.Microsecond, ChunkBlocks: 64})
 	s.Start()
+	// Wait for the corrections AND one full footprint pass: the targets
+	// can all be corrected before the patrol has visited every block (77
+	// sits in shard 1's first chunk), and the ScrubScans check below needs
+	// the whole pass.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		c := bm.Snapshot().Controller
-		if c.ScrubCorrected >= uint64(len(scrubTargets)) {
+		if c.ScrubCorrected >= uint64(len(scrubTargets)) && c.ScrubScans >= blocks {
 			break
 		}
 		if time.Now().After(deadline) {
 			s.Stop()
-			t.Fatalf("patrol corrected %d of %d injected faults before timeout", c.ScrubCorrected, len(scrubTargets))
+			t.Fatalf("patrol corrected %d of %d injected faults in %d scans before timeout",
+				c.ScrubCorrected, len(scrubTargets), c.ScrubScans)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -91,7 +91,7 @@ type Txn struct {
 	arg   int32 // bit index (opInjectBit) or chip (opInjectChip)
 	addr  uint64
 	inner uint64
-	flow  uint64 // externally supplied trace flow id; 0 = allocate
+	flow  uint64            // externally supplied trace flow id; 0 = allocate
 	data  [BlockBytes]byte  // write payload (copied at submit)
 	dst   []byte            // read destination / raw write payload
 	info  *memctrl.ReadInfo // decoder observations (optional)
@@ -249,13 +249,12 @@ type Batched struct {
 	closed   bool          // set by Close (reconfMu)
 
 	// Retired-shard accumulators: when a reshard retires a shard its final
-	// counters fold in here, keeping Ops/Stats/Snapshot monotonic across
-	// topology swaps.
+	// counters fold in here, keeping Ops/Snapshot monotonic across topology
+	// swaps.
 	retiredOps   atomic.Uint64
 	retiredMu    sync.Mutex
 	retiredTel   telemetry.Snapshot
 	haveRetired  bool
-	retiredStats memctrl.Stats
 	retiredBatch telemetry.BatchStats
 
 	// migTel counts reconfiguration progress (scheme migrations, reshards,
@@ -1163,24 +1162,6 @@ func (b *Batched) Ops() uint64 {
 		n += bs.slot.ops.Load()
 	}
 	return n
-}
-
-// Stats aggregates every shard's counters (retired shards included).
-//
-// Deprecated: thin wrapper over the merged telemetry snapshot; use
-// Snapshot in new code.
-func (b *Batched) Stats() memctrl.Stats {
-	var total memctrl.Stats
-	for _, bs := range b.topo.Load().bshards {
-		bs.slot.mu.Lock()
-		st := bs.slot.ctrl.Stats()
-		bs.slot.mu.Unlock()
-		total.Add(st)
-	}
-	b.retiredMu.Lock()
-	total.Add(b.retiredStats)
-	b.retiredMu.Unlock()
-	return total
 }
 
 // Snapshot merges every shard's telemetry tree and attaches the batch

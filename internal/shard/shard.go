@@ -457,21 +457,6 @@ func (c *Controller) InDRAM(addr uint64) bool {
 	return s.ctrl.InDRAM(inner)
 }
 
-// Stats aggregates every shard's counters.
-//
-// Deprecated: thin wrapper over the merged telemetry snapshot; use
-// Snapshot in new code.
-func (c *Controller) Stats() memctrl.Stats {
-	var total memctrl.Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st := s.ctrl.Stats()
-		s.mu.Unlock()
-		total.Add(st)
-	}
-	return total
-}
-
 // Snapshot merges every shard's telemetry tree into one Snapshot. All
 // section fields are monotonic sums (histograms merge bucket-wise) and
 // derived rates are recomputed after the merge, so a sharded and an

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"cop/internal/memctrl"
+	"cop/internal/telemetry"
 )
 
 func compressibleData(rng *rand.Rand) []byte {
@@ -173,7 +175,7 @@ func TestShardedMatchesUnshardedReplay(t *testing.T) {
 			if injected == 0 {
 				t.Fatal("fault campaign never hit DRAM-resident blocks")
 			}
-			sa, sb := single.Stats(), sharded.Stats()
+			sa, sb := single.Snapshot().Controller, sharded.Snapshot().Controller
 			if sa.CorrectedErrors != sb.CorrectedErrors || sa.UncorrectableErrors != sb.UncorrectableErrors {
 				t.Fatalf("classification mismatch: single corrected=%d uncorrectable=%d, sharded corrected=%d uncorrectable=%d",
 					sa.CorrectedErrors, sa.UncorrectableErrors, sb.CorrectedErrors, sb.UncorrectableErrors)
@@ -242,7 +244,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 			if got, want := c.Ops(), uint64(goroutines*opsPerG); got != want {
 				t.Fatalf("Ops() = %d, want %d", got, want)
 			}
-			st := c.Stats()
+			st := c.Snapshot().Controller
 			if st.Loads+st.Stores == 0 || st.Loads+st.Stores > uint64(goroutines*opsPerG) {
 				t.Fatalf("implausible load/store accounting: %+v", st)
 			}
@@ -482,7 +484,7 @@ func TestShardedInjectedErrorEquivalence(t *testing.T) {
 			if uncorrectable == 0 {
 				t.Fatal("double-bit campaign produced no uncorrectable reads")
 			}
-			sa, sb := single.Stats(), sharded.Stats()
+			sa, sb := single.Snapshot().Controller, sharded.Snapshot().Controller
 			if sa.CorrectedErrors != sb.CorrectedErrors || sa.UncorrectableErrors != sb.UncorrectableErrors {
 				t.Fatalf("classification mismatch: single corrected=%d uncorrectable=%d, sharded corrected=%d uncorrectable=%d",
 					sa.CorrectedErrors, sa.UncorrectableErrors, sb.CorrectedErrors, sb.UncorrectableErrors)
@@ -520,7 +522,7 @@ func TestShardedChipFailure(t *testing.T) {
 			t.Fatalf("block %#x corrupted by chip failure", addr)
 		}
 	}
-	if c.Stats().CorrectedErrors == 0 {
+	if c.Snapshot().Controller.CorrectedErrors == 0 {
 		t.Fatal("chip-failure corrections not counted")
 	}
 }
@@ -541,24 +543,20 @@ func TestShardedStatsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
+	snap := c.Snapshot()
+	st := snap.Controller
 	if st.Stores != n || st.Loads != n {
 		t.Fatalf("aggregate stats wrong: %+v", st)
 	}
 	if c.Ops() != 2*n {
 		t.Fatalf("Ops() = %d, want %d", c.Ops(), 2*n)
 	}
-	var manual memctrl.Stats
+	var manual telemetry.ControllerStats
 	for i := 0; i < c.NumShards(); i++ {
-		manual.Add(c.Shard(i).Stats())
+		manual.Merge(c.Shard(i).Snapshot().Controller)
 	}
-	if manual != st {
-		t.Fatalf("Stats() != sum of shard stats:\n%+v\n%+v", st, manual)
-	}
-	// The merged telemetry snapshot agrees with the legacy wrappers.
-	snap := c.Snapshot()
-	if snap.Controller.Loads != st.Loads || snap.Controller.Stores != st.Stores {
-		t.Fatalf("Snapshot() disagrees with Stats():\n%+v\n%+v", snap.Controller, st)
+	if !reflect.DeepEqual(manual, st) {
+		t.Fatalf("Snapshot().Controller != sum of shard snapshots:\n%+v\n%+v", st, manual)
 	}
 	if snap.Scheme != memctrl.COP.String() {
 		t.Fatalf("scheme = %q", snap.Scheme)

@@ -55,7 +55,9 @@ func formatResult(r Result) string {
 	}
 	fmt.Fprintf(&sb, "instructions=%d cycles=%d misses=%d\n", r.Instructions, r.Cycles, r.Misses)
 	fmt.Fprintf(&sb, "extra=%d compressed=%d raw=%d\n", r.ExtraAccesses, r.CompressedReads, r.RawReads)
-	fmt.Fprintf(&sb, "dram=%+v\n", r.DRAM)
+	d := r.DRAM
+	fmt.Fprintf(&sb, "dram={Reads:%d Writes:%d RowHits:%d RowMisses:%d RowConflicts:%d TotalLatency:%d TotalQueueDelay:%d MaxObservedConcurrent:%d}\n",
+		d.Reads, d.Writes, d.RowHits, d.RowMisses, d.RowConflicts, d.TotalLatency, d.TotalQueueDelay, d.MaxConcurrent)
 	return sb.String()
 }
 

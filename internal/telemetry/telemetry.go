@@ -1,15 +1,16 @@
 // Package telemetry is the unified observability layer for the COP memory
-// hierarchy: typed atomic counters, fixed-bucket power-of-two histograms,
-// and optional event hooks, merged across layers (and across shards) into
-// one coherent Snapshot tree with JSON and Prometheus-text exporters.
+// hierarchy: typed atomic counters and fixed-bucket power-of-two
+// histograms, merged across layers (and across shards) into one coherent
+// Snapshot tree with JSON and Prometheus-text exporters. Individual events
+// (corrections, uncorrectables, scrubs, retained aliases) are the flight
+// recorder's job (package trace), not this package's.
 //
 // Design constraints, in order:
 //
 //  1. The hot path stays hot. Counters are plain atomics (one uncontended
-//     LOCK XADD), histograms are power-of-two bucketed (one bits.Len64 and
-//     two atomic adds), and event hooks are nil-checked function slices —
-//     an instrumented access with no subscriber attached performs zero
-//     allocations and no branches beyond the nil check.
+//     LOCK XADD) and histograms are power-of-two bucketed (one bits.Len64
+//     and three atomic adds), so an instrumented access performs zero
+//     allocations.
 //  2. Merging is exact. Every field of every section is a monotonic sum
 //     (or a bucket-wise histogram sum), so merging N per-shard snapshots
 //     of a single-threaded run yields byte-for-byte the snapshot an
@@ -22,7 +23,6 @@ package telemetry
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -39,10 +39,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Store overwrites the count (reset wrappers only; live paths never write
-// absolute values).
-func (c *Counter) Store(n uint64) { c.v.Store(n) }
-
 // Gauge is an atomic up/down level (e.g. live region entries). The zero
 // value is ready to use.
 type Gauge struct{ v atomic.Int64 }
@@ -52,9 +48,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Load returns the current level.
 func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Store overwrites the level (reset wrappers only).
-func (g *Gauge) Store(n int64) { g.v.Store(n) }
 
 // Max is a monotonic high-water-mark gauge.
 type Max struct{ v atomic.Uint64 }
@@ -71,9 +64,6 @@ func (m *Max) Observe(n uint64) {
 
 // Load returns the current mark.
 func (m *Max) Load() uint64 { return m.v.Load() }
-
-// Store overwrites the mark (reset wrappers only).
-func (m *Max) Store(n uint64) { m.v.Store(n) }
 
 // HistBuckets is the fixed bucket count of every Histogram. Bucket 0
 // counts observations of exactly 0; bucket i (i ≥ 1) counts observations
@@ -138,15 +128,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Buckets = append([]uint64(nil), raw[:last+1]...)
 	}
 	return s
-}
-
-// Reset clears the histogram (reset wrappers only).
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
 }
 
 // HistogramSnapshot is the frozen form of a Histogram. BucketBound gives
@@ -229,55 +210,5 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 	}
 	for i, v := range o.Buckets {
 		s.Buckets[i] += v
-	}
-}
-
-// Event is one hierarchy event delivered to hook subscribers: the emitting
-// layer, the event name, the affected block address, and an event-specific
-// value (e.g. corrected-segment count).
-type Event struct {
-	Layer string
-	Name  string
-	Addr  uint64
-	Value uint64
-}
-
-// Hooks is an optional event-subscriber list. Layers hold a *Hooks that is
-// nil until the first subscriber attaches, so the unsubscribed fast path
-// is a single nil check with no allocation. Emit never allocates: Event is
-// passed by value.
-//
-// Subscribers run synchronously on the emitting goroutine (possibly under
-// a shard lock) and must be fast and concurrency-safe.
-type Hooks struct {
-	mu  sync.Mutex
-	fns atomic.Value // []func(Event)
-}
-
-// Attach registers a subscriber.
-func (h *Hooks) Attach(fn func(Event)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var cur []func(Event)
-	if v := h.fns.Load(); v != nil {
-		cur = v.([]func(Event))
-	}
-	next := make([]func(Event), len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = fn
-	h.fns.Store(next)
-}
-
-// Emit delivers e to every subscriber. Safe on a nil receiver.
-func (h *Hooks) Emit(e Event) {
-	if h == nil {
-		return
-	}
-	v := h.fns.Load()
-	if v == nil {
-		return
-	}
-	for _, fn := range v.([]func(Event)) {
-		fn(e)
 	}
 }

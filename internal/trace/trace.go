@@ -5,6 +5,9 @@
 // entry alloc/free.
 //
 // The telemetry layer answers "how many"; this layer answers "why this one".
+// It is also the hierarchy's only per-event mechanism: corrections,
+// uncorrectable reads, scrubs and retained aliases are records here, not
+// callbacks.
 // COP's valid-codeword-count detection means a single wrong classification
 // silently corrupts a block, and diagnosing that requires the causal event
 // chain for the access: which scheme the selector tried, the codeword count
@@ -12,7 +15,7 @@
 // recorder keeps that chain always-on at near-zero cost:
 //
 //   - Disabled tracing costs one nil check plus one atomic load per record
-//     site and zero allocations (same discipline as telemetry.Hooks).
+//     site and zero allocations.
 //   - Enabled tracing appends a 64-byte Record into the shard's ring under a
 //     per-ring mutex; rings are single-writer in steady state (the shard
 //     lock already serializes each controller), so the mutex is uncontended

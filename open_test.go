@@ -136,22 +136,3 @@ func TestSchemeNames(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedConstructors keeps the pre-Open constructors working: the
-// deprecation is doc-level, not behavioral.
-func TestDeprecatedConstructors(t *testing.T) {
-	sm, err := cop.NewShardedMemoryChecked(cop.ShardedMemoryConfig{
-		Mem: cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeRoundTrip(t, sm)
-
-	bm, err := cop.NewBatchedMemoryChecked(cop.BatchedMemoryConfig{
-		Shard: cop.ShardedMemoryConfig{Mem: cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bm.Close()
-	storeRoundTrip(t, bm)
-}

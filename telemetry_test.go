@@ -2,7 +2,7 @@ package cop_test
 
 // Tests for the unified telemetry API at the public surface: the
 // sharded/unsharded snapshot byte-identity guarantee and the zero-alloc
-// hot-path guarantee (telemetry enabled, no subscriber).
+// hot-path guarantee (telemetry always on).
 
 import (
 	"bytes"
@@ -57,10 +57,11 @@ func TestShardedSnapshotByteIdentical(t *testing.T) {
 	}
 
 	for _, shards := range []int{2, 4, 8} {
-		sharded, err := cop.NewShardedMemoryChecked(cop.ShardedMemoryConfig{Mem: memCfg, Shards: shards})
+		st, err := cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
+		sharded := st.(*cop.ShardedMemory)
 		driveTrace(t, sharded.Write, sharded.Read)
 		got, err := sharded.Snapshot().JSON()
 		if err != nil {
@@ -99,29 +100,11 @@ func TestSnapshotEquivalentAcrossFrontends(t *testing.T) {
 	}
 }
 
-// TestLegacyStatsMatchSnapshot pins the deprecation contract: the legacy
-// Stats surfaces are thin wrappers over the snapshot, so both views of the
-// same memory must agree.
-func TestLegacyStatsMatchSnapshot(t *testing.T) {
-	mem := cop.NewMemory(cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8})
-	driveTrace(t, mem.Write, mem.Read)
-	legacy := mem.Stats()
-	snap := mem.Snapshot()
-	if legacy.Loads != snap.Controller.Loads ||
-		legacy.Stores != snap.Controller.Stores ||
-		legacy.StoredCompressed != snap.Controller.StoredCompressed ||
-		legacy.StoredRaw != snap.Controller.StoredRaw ||
-		legacy.CorrectedErrors != snap.Controller.CorrectedErrors {
-		t.Errorf("legacy %+v disagrees with snapshot %+v", legacy, snap.Controller)
-	}
-}
-
 // TestReadHotPathAllocs is the memory-hierarchy half of the zero-alloc
-// guarantee: with telemetry always-on but no subscriber attached, an
-// LLC-hit read performs exactly one allocation — the 64-byte result copy
-// handed to the caller — i.e. the instrumentation itself allocates
-// nothing. (The telemetry primitives' own 0-allocs guard lives in
-// internal/telemetry.)
+// guarantee: with telemetry always on, an LLC-hit read performs exactly
+// one allocation — the 64-byte result copy handed to the caller — i.e.
+// the instrumentation itself allocates nothing. (The telemetry
+// primitives' own 0-allocs guard lives in internal/telemetry.)
 func TestReadHotPathAllocs(t *testing.T) {
 	mem := cop.NewMemory(cop.MemoryConfig{Mode: cop.ModeCOP})
 	data := make([]byte, cop.BlockBytes)
