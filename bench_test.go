@@ -522,10 +522,13 @@ func shardedTrafficBlocks(n int) [][]byte {
 }
 
 // BenchmarkShardedThroughput compares aggregate op throughput of the
-// sharded controller under 8 concurrent clients against a single-goroutine
-// unsharded controller on the same traffic mix. On a multi-core machine
-// the 8-shard run should scale well past 2x; on one core it degenerates to
-// the locking overhead, which this bench also quantifies.
+// sharded front-end's synchronous Read/Write (inline on the caller's
+// goroutine, one shard lock per op) under 8 concurrent clients against a
+// single-goroutine unsharded controller on the same traffic mix. On a
+// multi-core machine the 8-shard run should scale well past 2x; on one
+// core it degenerates to the locking overhead, which this bench also
+// quantifies. scripts/benchsmoke.sh gates sharded-8g and
+// sharded-8g-traceoff against their merge-base numbers.
 func BenchmarkShardedThroughput(b *testing.B) {
 	const (
 		goroutines = 8
@@ -559,7 +562,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		}
 	})
 	runSharded := func(b *testing.B, cfg cop.MemoryConfig) {
-		m := cop.NewShardedMemory(cop.ShardedMemoryConfig{Mem: cfg, Shards: goroutines})
+		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{Shard: cop.ShardedMemoryConfig{Mem: cfg, Shards: goroutines}})
+		defer m.Close()
 		b.SetBytes(cop.BlockBytes)
 		var wg sync.WaitGroup
 		errs := make(chan error, goroutines)
@@ -589,12 +593,12 @@ func BenchmarkShardedThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchedThroughput drives the batched front-end with the exact
+// BenchmarkBatchedThroughput drives the sharded front-end with the exact
 // traffic mix of BenchmarkShardedThroughput/sharded-8g (8 clients, same
 // seeds, same footprint) but through asynchronous groups with a window of
 // outstanding operations, so each shard worker dequeues and executes whole
 // batches under one lock acquisition. scripts/benchsmoke.sh gates
-// batched-8g against sharded-8g staying a win.
+// batched-8g against its merge-base number.
 func BenchmarkBatchedThroughput(b *testing.B) {
 	const (
 		goroutines = 8

@@ -8,7 +8,7 @@
 //	copbench -exp fig11 -epochs 8000 # more simulation fidelity
 //	copbench -exp fig9 -format csv   # machine-readable output
 //	copbench -list                   # available experiment ids
-//	copbench -parallel 8             # sharded-memory throughput comparison
+//	copbench -parallel 8             # sharded-memory throughput + drain demo
 //	copbench -faults                 # fault-injection campaign (all schemes)
 //	copbench -faults -fault-scheme cop-er -fault-injections 20000
 //	copbench -trace-out trace.json   # traced demo workload -> Perfetto JSON
@@ -55,9 +55,8 @@ func run(args []string, stdout io.Writer) error {
 		format   = fs.String("format", "text", "output format: text, csv, or chart")
 		chartCol = fs.Int("chart-col", -1, "column to chart in -format chart (negative: from the end)")
 		outPath  = fs.String("o", "", "also write the report(s) to this file")
-		parallel = fs.Int("parallel", 0, "run the sharded-memory throughput comparison with this many goroutines and exit")
+		parallel = fs.Int("parallel", 0, "run the sharded-memory throughput comparison (synchronous calls and group windows) and drain demo with this many goroutines and exit")
 		parOps   = fs.Int("parallel-ops", 200000, "total memory operations for the -parallel comparison")
-		batched  = fs.Bool("batched", false, "with -parallel: also drive the batched front-end (async groups) and demonstrate a drain")
 		migDemo  = fs.Bool("migrate", false, "run the live-reconfiguration demo (scheme migration + resharding + patrol scrub under traffic) and exit")
 		faults   = fs.Bool("faults", false, "run the fault-injection campaign and exit")
 		fScheme  = cli.SchemeFlag(fs, "fault-scheme", "all", "campaign scheme(s), comma list")
@@ -101,7 +100,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *parallel > 0 {
-		return runParallel(stdout, telReg, *parallel, *parOps, *batched)
+		return runParallel(stdout, telReg, *parallel, *parOps)
 	}
 
 	if *faults {
@@ -226,7 +225,8 @@ func runTraceDemo(out io.Writer, telReg *telemetry.Registry, tracer *cop.Tracer,
 	if err != nil {
 		return err
 	}
-	mem := st.(*cop.ShardedMemory)
+	mem := st.(*cop.BatchedMemory)
+	defer mem.Close()
 	p, err := workload.Get("gcc")
 	if err != nil {
 		return err
@@ -303,11 +303,10 @@ func writeChromeTrace(path string, tracer *cop.Tracer) error {
 // runParallel measures aggregate throughput of the sharded memory model
 // driven by n goroutines against a single-goroutine unsharded controller on
 // the same traffic mix (2/3 reads, 1/3 writes, mixed compressibility, COP
-// mode), and prints both along with the speedup. With batched it adds a
-// third row driving the batched front-end through asynchronous groups, then
-// demonstrates Drain: quiesce every shard to a fenced, flushed state and
-// resume.
-func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int, batched bool) error {
+// mode): one row for synchronous calls, one for the same traffic submitted
+// through asynchronous group windows. It then demonstrates Drain: quiesce
+// every shard to a fenced, flushed state and resume.
+func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int) error {
 	if totalOps < n {
 		totalOps = n
 	}
@@ -352,56 +351,67 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int, bat
 	}
 	singleDur := time.Since(start)
 
-	// -parallel takes a free goroutine count; shard counts must be powers
-	// of two, so round up (the config rules reject anything else).
-	st, err := cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(shard.NextPow2(n)), cop.WithTelemetryRegistry(telReg))
+	// Each sharded row gets a fresh memory. -parallel takes a free
+	// goroutine count; shard counts must be powers of two, so round up
+	// (the config rules reject anything else).
+	const window = 128
+	openSharded := func() (*cop.BatchedMemory, error) {
+		st, err := cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(shard.NextPow2(n)),
+			cop.WithBatching(4*window, window), cop.WithTelemetryRegistry(telReg))
+		if err != nil {
+			return nil, err
+		}
+		return st.(*cop.BatchedMemory), nil
+	}
+	// runGoroutines runs fn on n goroutines, totalOps/n ops each, and
+	// returns the wall time and the first error.
+	runGoroutines := func(fn func(seed int64, ops int) error) (time.Duration, error) {
+		var wg sync.WaitGroup
+		errs := make(chan error, n)
+		start := time.Now()
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				if err := fn(seed, totalOps/n); err != nil {
+					errs <- err
+				}
+			}(int64(g + 1))
+		}
+		wg.Wait()
+		d := time.Since(start)
+		close(errs)
+		return d, <-errs
+	}
+
+	sharded, err := openSharded()
 	if err != nil {
 		return err
 	}
-	sharded := st.(*cop.ShardedMemory)
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	start = time.Now()
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			if err := worker(sharded.Read, sharded.Write, seed, totalOps/n); err != nil {
-				errs <- err
-			}
-		}(int64(g + 1))
-	}
-	wg.Wait()
-	shardedDur := time.Since(start)
-	close(errs)
-	for err := range errs {
+	shardedDur, err := runGoroutines(func(seed int64, ops int) error {
+		return worker(sharded.Read, sharded.Write, seed, ops)
+	})
+	sharded.Close()
+	if err != nil {
 		return err
 	}
-
 	opsPerSec := func(ops int, d time.Duration) float64 { return float64(ops) / d.Seconds() }
 	sOps := opsPerSec(totalOps, singleDur)
 	pOps := opsPerSec(totalOps/n*n, shardedDur)
 	fmt.Fprintf(out, "Sharded-memory throughput (COP mode, %d ops, %d-block footprint)\n", totalOps, footprint)
 	fmt.Fprintf(out, "  unsharded, 1 goroutine:   %10.0f ops/s  (%v)\n", sOps, singleDur.Round(time.Millisecond))
-	fmt.Fprintf(out, "  %2d shards, %2d goroutines: %10.0f ops/s  (%v)\n", sharded.NumShards(), n, pOps, shardedDur.Round(time.Millisecond))
+	fmt.Fprintf(out, "  %2d shards, %2d goroutines: %10.0f ops/s  (%v)  synchronous calls\n", sharded.NumShards(), n, pOps, shardedDur.Round(time.Millisecond))
 	fmt.Fprintf(out, "  speedup: %.2fx\n", pOps/sOps)
 
-	if !batched {
-		return nil
-	}
-
-	// Batched front-end: the same traffic submitted through asynchronous
-	// groups with a window of outstanding operations per goroutine, so each
-	// shard's worker executes deep batches under one lock acquisition.
-	const window = 128
-	st, err = cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(shard.NextPow2(n)),
-		cop.WithBatching(4*window, window), cop.WithTelemetryRegistry(telReg))
+	// The same traffic submitted through asynchronous groups with a window
+	// of outstanding operations per goroutine, so each shard's worker
+	// executes deep batches under one lock acquisition.
+	bm, err := openSharded()
 	if err != nil {
 		return err
 	}
-	bm := st.(*cop.BatchedMemory)
 	defer bm.Close()
-	bworker := func(seed int64, ops int) error {
+	batchedDur, err := runGoroutines(func(seed int64, ops int) error {
 		wr := rand.New(rand.NewSource(seed))
 		grp := bm.NewGroup()
 		dst := make([]byte, window*cop.BlockBytes)
@@ -421,27 +431,13 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int, bat
 			}
 		}
 		return grp.Wait()
-	}
-	berrs := make(chan error, n)
-	start = time.Now()
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			if err := bworker(seed, totalOps/n); err != nil {
-				berrs <- err
-			}
-		}(int64(g + 1))
-	}
-	wg.Wait()
-	batchedDur := time.Since(start)
-	close(berrs)
-	for err := range berrs {
+	})
+	if err != nil {
 		return err
 	}
 	bOps := opsPerSec(totalOps/n*n, batchedDur)
-	fmt.Fprintf(out, "  batched,   %2d goroutines: %10.0f ops/s  (%v)  vs sharded: %.2fx\n",
-		n, bOps, batchedDur.Round(time.Millisecond), bOps/pOps)
+	fmt.Fprintf(out, "  %2d shards, %2d goroutines: %10.0f ops/s  (%v)  %d-op group windows, vs synchronous: %.2fx\n",
+		bm.NumShards(), n, bOps, batchedDur.Round(time.Millisecond), window, bOps/pOps)
 
 	// Drain demo: quiesce every shard to a fenced, flushed state (the live
 	// scheme-migration handoff point), verify, and resume.

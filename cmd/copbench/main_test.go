@@ -77,7 +77,8 @@ func TestParallelComparison(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"unsharded, 1 goroutine", "4 goroutines", "speedup:"} {
+	for _, want := range []string{"unsharded, 1 goroutine", "4 goroutines", "speedup:",
+		"synchronous calls", "group windows", "quiesced=true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}

@@ -113,8 +113,8 @@ const (
 
 // NewMemory builds a protected-memory model. The zero MemoryConfig (beyond
 // Mode) gives the paper's 4 MB / 16-way LLC and the Config4 codec.
-// Memory is not safe for concurrent use; wrap it in NewShardedMemory when
-// multiple goroutines drive one memory image.
+// Memory is not safe for concurrent use; open a BatchedMemory
+// (Open with WithShards) when multiple goroutines drive one memory image.
 func NewMemory(cfg MemoryConfig) *Memory { return memctrl.New(cfg) }
 
 // ReadInfo describes what the controller observed serving one block read
@@ -124,15 +124,14 @@ type ReadInfo = memctrl.ReadInfo
 // Store is the common protected-memory surface every front-end exposes:
 // whole-block reads and writes at 64-byte granularity, a dirty-line flush,
 // and the unified telemetry snapshot (the hierarchy's only counter
-// surface). Memory, ShardedMemory, and
-// BatchedMemory all implement it, as does copnet's network client — so
-// servers, load generators, campaigns, and tests can be written once
-// against Store and handed any front-end (local or remote).
+// surface). Memory and BatchedMemory both implement it, as does copnet's
+// network client — so servers, load generators, campaigns, and tests can
+// be written once against Store and handed any front-end (local or
+// remote).
 //
 // Concurrency is a property of the implementation, not the interface:
-// Memory is single-goroutine, ShardedMemory and BatchedMemory are safe for
-// concurrent use. Open documents which implementation a given option set
-// yields.
+// Memory is single-goroutine, BatchedMemory is safe for concurrent use.
+// Open documents which implementation a given option set yields.
 type Store interface {
 	// Read loads the 64-byte block containing addr.
 	Read(addr uint64) ([]byte, error)
@@ -150,7 +149,6 @@ type Store interface {
 // Every front-end implements Store (compile-time enforced).
 var (
 	_ Store = (*Memory)(nil)
-	_ Store = (*ShardedMemory)(nil)
 	_ Store = (*BatchedMemory)(nil)
 )
 
@@ -163,12 +161,13 @@ var (
 type (
 	// Snapshot is the coherent telemetry tree for one memory hierarchy:
 	// controller, cache, optional region and DRAM sections, plus derived
-	// rates. A ShardedMemory's Snapshot merges its per-shard trees such
+	// rates. A BatchedMemory's Snapshot merges its per-shard trees such
 	// that a sharded and an unsharded run of the same single-threaded
-	// trace produce byte-identical JSON.
+	// trace produce byte-identical JSON apart from the sharded side's
+	// Batch section.
 	Snapshot = telemetry.Snapshot
 	// TelemetrySource is anything that produces a Snapshot; Memory,
-	// ShardedMemory, and TelemetryRegistry all satisfy it.
+	// BatchedMemory, and TelemetryRegistry all satisfy it.
 	TelemetrySource = telemetry.Source
 	// TelemetryRegistry is a swappable TelemetrySource holder for
 	// long-running servers (see TelemetryHandler).
@@ -187,7 +186,7 @@ func TelemetryHandler(src TelemetrySource) http.Handler { return telemetry.Handl
 // what the model *did*.
 type (
 	// Tracer owns the ring buffers. Attach one to a Memory or
-	// ShardedMemory via MemoryConfig.Tracer, call Start, and drain with
+	// BatchedMemory via MemoryConfig.Tracer, call Start, and drain with
 	// Snapshot / ExportChromeJSON, or let an anomaly freeze the rings and
 	// cut a black-box TraceDump.
 	Tracer = trace.Tracer
@@ -218,36 +217,28 @@ func TelemetryHandlerWithTrace(src TelemetrySource, tr *Tracer) http.Handler {
 	return telemetry.HandlerWithTracer(src, tr)
 }
 
-// ShardedMemory is a concurrency-safe protected-memory model: block
-// addresses are striped across independent per-shard controllers (one lock
-// each), with set-index-compatible striping so single-threaded behavior is
-// identical to an unsharded Memory of the same total configuration.
-type ShardedMemory = shard.Controller
-
-// ShardedMemoryConfig parameterizes NewShardedMemory. It embeds a full
-// MemoryConfig as Mem — there is one config vocabulary for both memory
-// front-ends — plus the shard count. The LLC rule is documented once, on
-// shard.Config: Mem.LLCBytes is the TOTAL capacity, each shard gets
-// LLCBytes/Shards, and an explicit Shards must be a power of two no larger
-// than the LLC set count (zero means auto). Invalid combinations are
-// errors from Open, never silently rounded.
-type ShardedMemoryConfig = shard.Config
-
-// NewShardedMemory builds a sharded, concurrency-safe memory model. It
-// panics on an invalid config; use Open(WithMemoryConfig(cfg.Mem),
-// WithShards(cfg.Shards)) to get the error instead.
-func NewShardedMemory(cfg ShardedMemoryConfig) *ShardedMemory { return shard.New(cfg) }
-
-// BatchedMemory is the batched, concurrency-safe protected-memory model:
-// the same striping, telemetry, and memory image as ShardedMemory, but
-// requests flow through per-shard MPSC rings to per-shard workers that
-// execute them in batches — one lock acquisition amortized over a window
-// of accesses, with FR-FCFS-friendly reordering inside each batch. Its
-// synchronous methods mirror ShardedMemory's; NewGroup exposes the
-// asynchronous window API, and SetMode/Drain expose the per-shard
+// BatchedMemory is the concurrency-safe protected-memory model: block
+// addresses are striped across independent per-shard controllers (one
+// lock each), with set-index-compatible striping so single-threaded
+// behavior is identical to an unsharded Memory of the same total
+// configuration. Synchronous calls (Read, Write, ...) run on the caller's
+// goroutine under the owning shard's lock; NewGroup exposes the
+// asynchronous window API, whose requests flow through per-shard MPSC
+// rings to per-shard workers that execute them in batches — one lock
+// acquisition amortized over a window of accesses, with FR-FCFS-friendly
+// reordering inside each batch. SetMode/Drain expose the per-shard
 // Enabled/Paused/Draining state machine (Draining quiesces a shard to a
 // fenced, flushed state). Release the workers with Close when done.
 type BatchedMemory = shard.Batched
+
+// ShardedMemoryConfig is the stripe layout embedded in
+// BatchedMemoryConfig: a full MemoryConfig as Mem — there is one config
+// vocabulary for every memory front-end — plus the shard count. The LLC
+// rule is documented once, on shard.Config: Mem.LLCBytes is the TOTAL
+// capacity, each shard gets LLCBytes/Shards, and an explicit Shards must
+// be a power of two no larger than the LLC set count (zero means auto).
+// Invalid combinations are errors from Open, never silently rounded.
+type ShardedMemoryConfig = shard.Config
 
 // BatchedMemoryConfig parameterizes NewBatchedMemory: the embedded
 // ShardedMemoryConfig plus the per-shard ring capacity and the batch cap.
@@ -278,8 +269,7 @@ type openConfig struct {
 	mem        MemoryConfig
 	scheme     string
 	shards     int
-	sharded    bool
-	batched    bool
+	concurrent bool
 	ring       int
 	batchMax   int
 	registry   *TelemetryRegistry
@@ -307,28 +297,25 @@ func WithMemoryConfig(cfg MemoryConfig) Option {
 	return func(c *openConfig) { c.mem = cfg; c.scheme = "" }
 }
 
-// WithLLC sizes the last-level cache. For sharded and batched front-ends
-// bytes is the TOTAL capacity across shards (the shard.Config rule).
+// WithLLC sizes the last-level cache. For the concurrent front-end bytes
+// is the TOTAL capacity across shards (the shard.Config rule).
 func WithLLC(bytes, ways int) Option {
 	return func(c *openConfig) { c.mem.LLCBytes = bytes; c.mem.LLCWays = ways }
 }
 
-// WithShards selects the concurrency-safe sharded front-end with n stripes
-// (0 = auto: smallest power of two >= GOMAXPROCS, clamped to the LLC set
-// count). Without WithBatching the result is a *ShardedMemory.
+// WithShards selects the concurrency-safe front-end (*BatchedMemory) with
+// n stripes (0 = auto: smallest power of two >= GOMAXPROCS, clamped to the
+// LLC set count).
 func WithShards(n int) Option {
-	return func(c *openConfig) { c.shards = n; c.sharded = true }
+	return func(c *openConfig) { c.shards = n; c.concurrent = true }
 }
 
-// WithBatching selects the batched front-end (*BatchedMemory): per-shard
-// request rings of ringSize entries (0 = 256) and worker batches of up to
-// batchMax transactions (0 = 64). Implies a sharded topology; combine with
-// WithShards to fix the stripe count. The returned Store must be Closed
-// (it owns worker goroutines) — Open's documentation, not the interface,
-// carries that obligation, so callers keeping the concrete type should
-// assert to *BatchedMemory.
+// WithBatching sizes the concurrent front-end's per-shard request rings
+// (ringSize entries, 0 = 256) and worker batches (up to batchMax
+// transactions, 0 = 64). Like WithShards it yields a *BatchedMemory, with
+// an auto stripe count unless WithShards fixes one.
 func WithBatching(ringSize, batchMax int) Option {
-	return func(c *openConfig) { c.batched = true; c.ring = ringSize; c.batchMax = batchMax }
+	return func(c *openConfig) { c.concurrent = true; c.ring = ringSize; c.batchMax = batchMax }
 }
 
 // WithConcurrent requires a concurrency-safe Store: Open fails rather than
@@ -351,13 +338,13 @@ func WithTelemetryRegistry(reg *TelemetryRegistry) Option {
 // a Store out. The option set picks the implementation —
 //
 //   - no topology options: a *Memory (single-goroutine functional model);
-//   - WithShards: a *ShardedMemory (mutex per shard, concurrency-safe);
-//   - WithBatching: a *BatchedMemory (per-shard request rings and batch
-//     workers; Close it when done).
+//   - WithShards or WithBatching: a *BatchedMemory (concurrency-safe; it
+//     owns per-shard worker goroutines, so Close it when done — Open's
+//     documentation, not the Store interface, carries that obligation).
 //
 // Invalid combinations (unknown scheme name, bad shard geometry,
 // non-power-of-two ring size) are reported as errors, never panics.
-// Callers that need the concrete type assert to it (st.(*ShardedMemory)).
+// Callers that need the concrete type assert to it (st.(*BatchedMemory)).
 func Open(opts ...Option) (Store, error) {
 	var c openConfig
 	for _, opt := range opts {
@@ -375,14 +362,12 @@ func Open(opts ...Option) (Store, error) {
 		err error
 	)
 	switch {
-	case c.batched:
+	case c.concurrent:
 		st, err = shard.NewBatchedChecked(shard.BatchedConfig{
 			Shard:    shard.Config{Mem: c.mem, Shards: c.shards},
 			RingSize: c.ring,
 			BatchMax: c.batchMax,
 		})
-	case c.sharded:
-		st, err = shard.NewChecked(shard.Config{Mem: c.mem, Shards: c.shards})
 	default:
 		if c.requireCon {
 			return nil, fmt.Errorf("cop: WithConcurrent requires WithShards or WithBatching (a plain Memory is single-goroutine)")

@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -336,6 +337,61 @@ func TestAdminLifecycle(t *testing.T) {
 	}
 	if infos, _ := admin.Tenants(); len(infos) != 1 {
 		t.Fatalf("tenant not dropped: %+v", infos)
+	}
+}
+
+// TestAdminRejectsHostileGeometry sends admin bodies whose sizes would
+// make a tenant allocate far more memory than any machine has — the Go
+// runtime aborts the process on such an allocation, and recover cannot
+// catch it. Each must be refused with a 4xx (400 for an invalid config),
+// and the service must go on serving frames.
+func TestAdminRejectsHostileGeometry(t *testing.T) {
+	_, hs := testServer(t)
+	send := func(method, path, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, hs.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"ring_size": 268435456}`,
+		`{"llc_bytes": 1099511627776}`,
+		`{"shards": 1048576}`,
+		`{"ring_size": 3}`,
+		`{"scheme": "no-such-scheme"}`,
+	} {
+		if code := send(http.MethodPut, "/admin/tenants/hostile", body); code != http.StatusBadRequest {
+			t.Errorf("create with %s: status %d, want 400", body, code)
+		}
+	}
+	// The default tenant's 64 KiB / 8-way LLC has 128 sets, so 4096 shards
+	// is over the ceiling and the set count alike.
+	for _, body := range []string{`{"shards": 4096}`, `{"shards": 1048576}`} {
+		if code := send(http.MethodPost, "/admin/tenants/default/reshard", body); code < 400 || code > 499 {
+			t.Errorf("reshard with %s: status %d, want 4xx", body, code)
+		}
+	}
+	// A duplicate name conflicts with existing state; it is not a bad config.
+	if code := send(http.MethodPut, "/admin/tenants/default", `{}`); code != http.StatusConflict {
+		t.Errorf("duplicate create: status %d, want 409", code)
+	}
+
+	c := testClient(t, hs)
+	data := block(0x5A)
+	rs, err := c.NewBatch().Write(0, data).Read(0).Do()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].Err != nil || rs[1].Err != nil || !bytes.Equal(rs[1].Data, data) {
+		t.Fatalf("frame after hostile admin requests: %+v", rs)
 	}
 }
 

@@ -3,6 +3,7 @@ package copnet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -67,9 +68,43 @@ type TenantConfig struct {
 	LLCWays  int `json:"llc_ways,omitempty"`
 }
 
+// Ceilings on a tenant's geometry. A tenant's memory is allocated when it
+// is created — every ring cell and every LLC set up front — and the Go
+// runtime aborts the whole process, unrecoverably, on an allocation it
+// cannot satisfy, so an absurd size in one admin request must be refused
+// rather than attempted. At these ceilings a tenant's rings cost at most
+// ~160 MiB and its LLC ~350 MiB; every in-tree configuration sits far
+// below them.
+const (
+	maxTenantRingSize = 1 << 12   // cells per shard ring
+	maxTenantLLCBytes = 256 << 20 // total LLC bytes
+	maxTenantShards   = 256       // explicit stripe count (create and reshard)
+)
+
+// errTenantConfig marks an invalid tenant configuration (answered 400, as
+// opposed to a conflict with existing state).
+var errTenantConfig = errors.New("copnet: invalid tenant config")
+
 // Open builds the tenant's batched memory. Callers own Close (or hand the
-// store to a Server, whose Close covers it).
+// store to a Server, whose Close covers it). Every error is a
+// configuration error and wraps errTenantConfig.
 func (c TenantConfig) Open() (*shard.Batched, error) {
+	b, err := c.open()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errTenantConfig, err)
+	}
+	return b, nil
+}
+
+func (c TenantConfig) open() (*shard.Batched, error) {
+	switch {
+	case c.RingSize > maxTenantRingSize:
+		return nil, fmt.Errorf("ring size %d exceeds the %d-cell ceiling", c.RingSize, maxTenantRingSize)
+	case c.LLCBytes > maxTenantLLCBytes:
+		return nil, fmt.Errorf("LLC of %d bytes exceeds the %d-byte ceiling", c.LLCBytes, maxTenantLLCBytes)
+	case c.Shards > maxTenantShards:
+		return nil, fmt.Errorf("%d shards exceed the %d-shard ceiling", c.Shards, maxTenantShards)
+	}
 	name := c.Scheme
 	if name == "" {
 		name = "cop-er"
@@ -986,7 +1021,11 @@ func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := s.CreateTenant(name, cfg); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
+		code := http.StatusConflict
+		if errors.Is(err, errTenantConfig) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
@@ -1038,6 +1077,10 @@ func (s *Server) handleReshard(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := decodeJSON(r, &req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if req.Shards > maxTenantShards {
+		http.Error(w, fmt.Sprintf("%d shards exceed the %d-shard ceiling", req.Shards, maxTenantShards), http.StatusBadRequest)
 		return
 	}
 	if err := t.batched.Reshard(req.Shards); err != nil {

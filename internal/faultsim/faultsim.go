@@ -108,7 +108,7 @@ type Config struct {
 	// traffic really reaches DRAM).
 	LLCBytes, LLCWays int
 	// Workers splits the footprint into disjoint per-worker target ranges
-	// (default 1). Workers > 1 drives a sharded controller.
+	// (default 1). Workers > 1 drives the sharded front-end.
 	Workers int
 	// Parallel runs the workers on separate goroutines (Workers > 1 only).
 	// The trial streams are identical either way; Parallel only changes
@@ -275,9 +275,9 @@ func (r *Result) Table() string {
 	return sb.String()
 }
 
-// Target abstracts a campaign memory: the serial and sharded controllers
-// the campaign builds itself, or an externally owned front-end passed in
-// via Config.Memory (the batched controller satisfies it too).
+// Target abstracts a campaign memory: the unsharded controller or the
+// sharded front-end the campaign builds itself, or an externally owned
+// memory passed in via Config.Memory (copnet's client satisfies it too).
 type Target interface {
 	Write(addr uint64, data []byte) error
 	ReadWithInfo(addr uint64) ([]byte, memctrl.ReadInfo, error)
@@ -290,7 +290,6 @@ type Target interface {
 
 var (
 	_ Target = (*memctrl.Controller)(nil)
-	_ Target = (*shard.Controller)(nil)
 	_ Target = (*shard.Batched)(nil)
 )
 
@@ -540,7 +539,12 @@ func Run(cfg Config) (*Result, error) {
 		if sets := cfg.LLCBytes / (cfg.LLCWays * memctrl.BlockBytes); shards > sets {
 			shards = sets
 		}
-		mem = shard.New(shard.Config{Mem: memCfg, Shards: shards})
+		b, err := shard.NewBatchedChecked(shard.BatchedConfig{Shard: shard.Config{Mem: memCfg, Shards: shards}})
+		if err != nil {
+			return nil, err
+		}
+		defer b.Close()
+		mem = b
 	} else {
 		mem = memctrl.New(memCfg)
 	}

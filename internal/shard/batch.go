@@ -11,15 +11,16 @@ import (
 	"cop/internal/trace"
 )
 
-// This file is the batched datapath: a front-end over the same per-shard
-// controllers as Controller, but with per-shard MPSC request rings and one
-// worker goroutine per shard that dequeues *batches* — one lock
-// acquisition amortized over up to BatchMax accesses, FR-FCFS-friendly
-// reordering within a batch, and the word-parallel codec run back-to-back
-// so parity masks and codec scratch stay hot. In-flight requests are
-// pure-data Txn records; each shard carries an explicit Mode
-// (Enabled / Paused / Draining) and Draining quiesces the shard to a
-// fenced, flushed state — the handoff point live scheme migration needs.
+// This file is the front-end: per-shard MPSC request rings and one worker
+// goroutine per shard that dequeues *batches* — one lock acquisition
+// amortized over up to BatchMax accesses, FR-FCFS-friendly reordering
+// within a batch, and the word-parallel codec run back-to-back so parity
+// masks and codec scratch stay hot — plus synchronous calls that run
+// inline on the caller's goroutine under the owning shard's lock.
+// In-flight requests are pure-data Txn records; each shard carries an
+// explicit Mode (Enabled / Paused / Draining) and Draining quiesces the
+// shard to a fenced, flushed state — the handoff point live scheme
+// migration needs.
 
 // ErrClosed is returned for operations submitted after Close.
 var ErrClosed = errors.New("shard: batched controller is closed")
@@ -68,35 +69,22 @@ type txnOp uint8
 
 const (
 	opNone     txnOp = iota
-	opRead           // read t.n bytes at t.off within the block into t.dst
-	opWrite          // write t.data[:t.n] at t.off (RMW when partial)
-	opWriteRaw       // full-block write of t.dst (invalid-length passthrough)
+	opRead           // full-block read into t.dst
+	opWrite          // full-block write of t.data
+	opWriteRaw       // write of t.dst (invalid-length passthrough)
 	opFlush
-	opSettle
-	opInjectBit
-	opInjectChip
-	opInDRAM
-	opStoredKind
 )
 
-// Txn is one in-flight request: pure data, copied by value through the
-// ring, no closures. Result pointers (dst/info/ok/kind) point into the
-// submitting caller's memory and are written by the worker before the
-// transaction's group is signalled.
+// Txn is one in-flight request: pure data, filled in place in its ring
+// cell, no closures. dst points into the submitting caller's memory and
+// is written by the worker before the transaction's group is signalled.
 type Txn struct {
 	op    txnOp
-	off   uint8 // byte offset within the block (opRead/opWrite)
-	n     uint8 // byte count within the block (opRead/opWrite)
-	pat   byte  // chip pattern (opInjectChip)
-	arg   int32 // bit index (opInjectBit) or chip (opInjectChip)
 	addr  uint64
 	inner uint64
-	flow  uint64            // externally supplied trace flow id; 0 = allocate
-	data  [BlockBytes]byte  // write payload (copied at submit)
-	dst   []byte            // read destination / raw write payload
-	info  *memctrl.ReadInfo // decoder observations (optional)
-	ok    *bool             // injection / residency result (optional)
-	kind  *memctrl.StoredKind
+	flow  uint64           // externally supplied trace flow id; 0 = allocate
+	data  [BlockBytes]byte // write payload (copied at submit)
+	dst   []byte           // read destination / raw write payload
 	g     *Group
 	err   error // set by the worker before completion
 }
@@ -162,8 +150,8 @@ func (g *Group) Wait() error {
 
 // BatchedConfig parameterizes a batched controller.
 type BatchedConfig struct {
-	// Shard configures the underlying sharded controller (stripe count,
-	// protection mode, total LLC capacity — see Config).
+	// Shard configures the stripe layout (stripe count, protection mode,
+	// total LLC capacity — see Config).
 	Shard Config
 	// RingSize is each shard's request-ring capacity (power of two).
 	// Zero selects 256. Producers backpressure when a ring is full.
@@ -202,31 +190,44 @@ type routeEntry struct {
 	logN uint
 }
 
-// topology is the batched front-end's immutable routing state. Producers
-// load it once per submission (one atomic pointer read), so a reshard can
-// cut stripes over to new shards by publishing a fresh topology — the
+// topology is the front-end's immutable routing state. Producers load it
+// once per submission (one atomic pointer read), so a reshard can cut
+// stripes over to new shards by publishing a fresh topology — the
 // datapath never takes a reconfiguration lock. entries is indexed by
 // blockIdx & mask and always covers every stripe; bshards lists each
 // distinct live shard once (the iteration set for whole-memory sweeps);
 // n is the logical stripe count (NumShards); scheme is the committed
-// protection mode; inner is an equivalent sharded Controller over the
-// same slots, rebuilt when a reshard completes (mid-transition it lags
-// the route table — Sharded and Shard are diagnostics, not datapath).
+// protection mode.
 type topology struct {
 	mask    uint64
 	entries []routeEntry
 	bshards []*batchShard
 	n       int
 	scheme  memctrl.Mode
-	inner   *Controller
 }
 
-// Batched is the batched, concurrency-safe front-end: the same striping,
-// telemetry, and memory image as Controller (a single-threaded replay
-// through either produces byte-identical DRAM images and snapshots), but
-// requests flow through per-shard rings to per-shard workers instead of
-// taking a mutex per access. Synchronous methods mirror Controller's API;
-// NewGroup exposes the asynchronous window API that makes batching pay.
+// Batched is the concurrency-safe front-end; all methods may be called
+// from any number of goroutines. It offers two ways in:
+//
+//   - Synchronous calls (Read, Write, ReadInto, the byte-range and
+//     fault-injection methods, ...) run inline on the caller's goroutine:
+//     resolve the route, take the owning shard's lock, execute. A
+//     synchronous call is ordered after every operation whose Group.Wait
+//     has returned, but not after operations still open in the caller's
+//     own window — wait the window out first when order matters.
+//     Synchronous calls bypass the rings, so they do not appear in the
+//     Snapshot's Batch section.
+//   - NewGroup exposes the asynchronous window API that makes batching
+//     pay: Group reads and writes flow through per-shard rings to
+//     per-shard workers, which execute them in batches under one lock
+//     acquisition. Flush rides the rings too, queueing behind everything
+//     already submitted.
+//
+// Both paths run the same per-block sequences, so a single-threaded
+// replay through either matches an unsharded memctrl.Controller of the
+// same total configuration: same read results and hit/miss behavior,
+// and (for schemes without an ECC region) a snapshot byte-identical
+// apart from the Batch section.
 //
 // Batched is also the substrate for online reconfiguration: Reshard grows
 // or shrinks the stripe count under live traffic, and the hooks consumed
@@ -310,19 +311,13 @@ func NewBatchedChecked(cfg BatchedConfig) (*Batched, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Normalize the shard config here as well (NewChecked re-normalizes,
-	// idempotently) so the stored config carries the resolved stripe count
-	// and LLC geometry a later Reshard scales from.
+	// The stored config carries the resolved stripe count and LLC
+	// geometry a later Reshard scales from.
 	scfg, err := cfg.Shard.Normalize()
 	if err != nil {
 		return nil, err
 	}
 	cfg.Shard = scfg
-	inner, err := NewChecked(scfg)
-	if err != nil {
-		return nil, err
-	}
-	n := len(inner.shards)
 	b := &Batched{
 		batchMax: cfg.BatchMax,
 		ringSize: cfg.RingSize,
@@ -330,25 +325,57 @@ func NewBatchedChecked(cfg BatchedConfig) (*Batched, error) {
 		tracer:   scfg.Mem.Tracer,
 	}
 	b.gpool.New = func() any { return &Group{wake: make(chan struct{}, 1)} }
-	bshards := make([]*batchShard, n)
-	entries := make([]routeEntry, n)
-	for i := range bshards {
-		bshards[i] = newBatchShard(cfg.RingSize, inner.shards[i], i, inner.logN)
-		entries[i] = routeEntry{bshards[i], inner.logN}
-	}
+	bshards := b.startShards(scfg)
 	b.topo.Store(&topology{
-		mask:    inner.mask,
-		entries: entries,
+		mask:    uint64(scfg.Shards - 1),
+		entries: compactRoutes(bshards),
 		bshards: bshards,
-		n:       n,
+		n:       scfg.Shards,
 		scheme:  scfg.Mem.Mode,
-		inner:   inner,
 	})
+	return b, nil
+}
+
+// startShards builds the scfg.Shards shards of a normalized config — each
+// a fresh controller over LLCBytes/Shards of the cache, recording into
+// its own flight-recorder ring when a tracer is attached — and starts
+// their workers. They serve nothing until a topology routes stripes at
+// them.
+func (b *Batched) startShards(scfg Config) []*batchShard {
+	n := scfg.Shards
+	perShard := scfg.Mem
+	perShard.LLCBytes = scfg.Mem.LLCBytes / n
+	// Each shard gets its own single-writer trace handle below;
+	// memctrl.New would bind every shard to ring 0.
+	perShard.Tracer = nil
+	if b.tracer != nil {
+		b.tracer.EnsureShards(n)
+	}
+	logN := log2(n)
+	bshards := make([]*batchShard, n)
+	for i := range bshards {
+		slot := &shardSlot{ctrl: memctrl.New(perShard)}
+		if b.tracer != nil {
+			slot.th = b.tracer.Handle(i)
+			slot.ctrl.AttachTracer(slot.th)
+		}
+		bshards[i] = newBatchShard(b.ringSize, slot, i, logN)
+	}
 	b.wg.Add(n)
 	for _, bs := range bshards {
 		go b.run(bs)
 	}
-	return b, nil
+	return bshards
+}
+
+// compactRoutes is the route table of a settled topology: stripe i is
+// owned by shard i.
+func compactRoutes(bshards []*batchShard) []routeEntry {
+	entries := make([]routeEntry, len(bshards))
+	for i, bs := range bshards {
+		entries[i] = routeEntry{bs, bs.logN}
+	}
+	return entries
 }
 
 // --- submission ---------------------------------------------------------
@@ -400,20 +427,32 @@ func (bs *batchShard) publish(c *txnCell, pos uint64) {
 	bs.wakeWorker()
 }
 
-// submit routes and copies a fully built prototype transaction (addr set)
-// into its shard's ring and binds it to g — the generic path used by the
-// synchronous API, where one struct copy per op is irrelevant next to the
-// Wait round-trip. (The asynchronous Group methods fill their cells in
-// place instead.)
-func (b *Batched) submit(g *Group, t *Txn) {
-	bs, inner, c, pos, ok := b.reserve(g, t.addr)
-	if !ok {
-		return
+// lockShard is reserve for the synchronous calls: it resolves addr
+// through the current topology and returns the owning shard's slot
+// locked, with the shard-local address, once that shard is Enabled.
+// Returns ErrClosed after Close.
+//
+// The mode is checked while holding the slot lock, and that check alone
+// fences these calls: Drain, DrainShard and Reshard flip the mode before
+// they take the same lock for their final flush (quiesceShard), so a
+// call either runs before that flush or observes the flip, waits in
+// await, and re-resolves the route (a retired shard's stripes live
+// elsewhere by then).
+func (b *Batched) lockShard(addr uint64) (s *shardSlot, inner uint64, err error) {
+	blockIdx := addr / BlockBytes
+	for {
+		topo := b.topo.Load()
+		e := topo.entries[blockIdx&topo.mask]
+		s = e.bs.slot
+		s.mu.Lock()
+		if Mode(e.bs.mode.Load()) == ModeEnabled {
+			return s, (blockIdx>>e.logN)*BlockBytes | (addr % BlockBytes), nil
+		}
+		s.mu.Unlock()
+		if e.bs.await() == awaitClosed {
+			return nil, 0, ErrClosed
+		}
 	}
-	t.inner = inner
-	t.g = g
-	c.txn = *t
-	bs.publish(c, pos)
 }
 
 // awaitVerdict is await's outcome.
@@ -472,7 +511,6 @@ func (b *Batched) run(bs *batchShard) {
 	batch := make([]*Txn, 0, b.batchMax)
 	gcs := make([]groupCount, 0, b.batchMax)
 	rs := newRowSorter(b.batchMax)
-	var scratch [BlockBytes]byte
 	for {
 		m := Mode(bs.mode.Load())
 		if m == ModePaused {
@@ -481,7 +519,7 @@ func (b *Batched) run(bs *batchShard) {
 		}
 		batch = bs.ring.peek(batch[:0], b.batchMax)
 		if len(batch) > 0 {
-			bs.exec(batch, gcs, rs, &scratch)
+			bs.exec(batch, gcs, rs)
 			bs.ring.release(len(batch))
 			continue
 		}
@@ -514,7 +552,7 @@ type groupCount struct {
 // shard lock once, execute every transaction, then signal completions
 // outside the lock. The caller releases the ring cells afterwards, so no
 // Txn is ever copied out of the ring.
-func (bs *batchShard) exec(batch []*Txn, gcs []groupCount, rs *rowSorter, scratch *[BlockBytes]byte) {
+func (bs *batchShard) exec(batch []*Txn, gcs []groupCount, rs *rowSorter) {
 	depth := uint64(len(batch))
 	bs.tel.Enqueued.Add(depth)
 	bs.tel.Batches.Inc()
@@ -528,7 +566,7 @@ func (bs *batchShard) exec(batch []*Txn, gcs []groupCount, rs *rowSorter, scratc
 		s.th.Record(trace.KindBatchBegin, 0, uint32(depth), 0, 0, 0, 0)
 	}
 	for _, t := range batch {
-		bs.execOne(t, scratch)
+		bs.execOne(t)
 	}
 	if s.th.Enabled() {
 		s.th.ResetFlow()
@@ -556,78 +594,19 @@ func (bs *batchShard) exec(batch []*Txn, gcs []groupCount, rs *rowSorter, scratc
 	}
 }
 
-// execOne executes one transaction under the shard lock, mirroring the
-// sharded Controller's per-operation sequence (op count, route record,
-// controller call) exactly — that is what makes single-threaded replays
-// byte-identical between the two front-ends.
-func (bs *batchShard) execOne(t *Txn, scratch *[BlockBytes]byte) {
+// execOne executes one transaction under the shard lock through the
+// slot's per-block sequences — the same ones the synchronous calls run.
+func (bs *batchShard) execOne(t *Txn) {
 	s := bs.slot
 	switch t.op {
 	case opRead:
-		s.ops.Add(1)
-		s.traceRouteFlow(t.addr, t.inner, 0, t.flow)
-		if t.off == 0 && int(t.n) == BlockBytes {
-			info, err := s.ctrl.ReadInto(t.dst, t.inner)
-			if t.info != nil {
-				*t.info = info
-			}
-			t.err = err
-			return
-		}
-		info, err := s.ctrl.ReadInto(scratch[:], t.inner)
-		if t.info != nil {
-			*t.info = info
-		}
-		if err == nil {
-			copy(t.dst, scratch[t.off:int(t.off)+int(t.n)])
-		}
-		t.err = err
+		_, t.err = s.read(t.dst, t.addr, t.inner, t.flow)
 	case opWrite:
-		s.ops.Add(1)
-		if t.off == 0 && int(t.n) == BlockBytes {
-			s.traceRouteFlow(t.addr, t.inner, trace.FlagWrite, t.flow)
-			t.err = s.ctrl.Write(t.inner, t.data[:])
-			return
-		}
-		// RMW: the internal load is a read and is traced as one; the
-		// store opens its own write-flagged flow (same as WriteBytes).
-		s.traceRouteFlow(t.addr, t.inner, 0, t.flow)
-		if _, err := s.ctrl.ReadInto(scratch[:], t.inner); err != nil {
-			t.err = err
-		} else {
-			copy(scratch[t.off:int(t.off)+int(t.n)], t.data[:t.n])
-			s.traceRouteFlow(t.addr, t.inner, trace.FlagWrite, t.flow)
-			t.err = s.ctrl.Write(t.inner, scratch[:])
-		}
+		t.err = s.write(t.addr, t.inner, t.data[:], t.flow)
 	case opWriteRaw:
-		s.ops.Add(1)
-		s.traceRouteFlow(t.addr, t.inner, trace.FlagWrite, t.flow)
-		t.err = s.ctrl.Write(t.inner, t.dst)
+		t.err = s.write(t.addr, t.inner, t.dst, t.flow)
 	case opFlush:
 		t.err = s.ctrl.Flush()
-	case opSettle:
-		s.ops.Add(1)
-		t.err = s.ctrl.Settle(t.inner)
-	case opInjectBit:
-		s.ops.Add(1)
-		ok := s.ctrl.InjectBitFlip(t.inner, int(t.arg))
-		if t.ok != nil {
-			*t.ok = ok
-		}
-	case opInjectChip:
-		s.ops.Add(1)
-		ok := s.ctrl.InjectChipFailure(t.inner, int(t.arg), t.pat)
-		if t.ok != nil {
-			*t.ok = ok
-		}
-	case opInDRAM:
-		if t.ok != nil {
-			*t.ok = s.ctrl.InDRAM(t.inner)
-		}
-	case opStoredKind:
-		if t.kind != nil {
-			*t.kind = s.ctrl.StoredKind(t.inner)
-		}
 	}
 }
 
@@ -672,8 +651,8 @@ func newRowSorter(batchMax int) *rowSorter {
 // reorder stable-sorts runs of plain reads/writes by DRAM row id.
 // Same-block accesses keep their enqueue order (every pass is stable and a
 // block never spans rows), preserving single-block linearizability; any
-// other operation (flush, settle, injection, query) is a scheduling
-// barrier that pins the runs around it. Only the batch's pointers move —
+// other operation (flush, raw write) is a scheduling barrier that pins
+// the runs around it. Only the batch's pointers move —
 // the Txn records themselves stay put in their ring cells.
 func (rs *rowSorter) reorder(batch []*Txn) {
 	for i := 0; i < len(batch); {
@@ -739,21 +718,12 @@ func (rs *rowSorter) sortRunByRow(run []*Txn) {
 	}
 }
 
-// --- synchronous API (mirrors Controller) -------------------------------
+// --- synchronous API ----------------------------------------------------
 
 func (b *Batched) getGroup() *Group {
 	g := b.gpool.Get().(*Group)
 	g.b = b
 	return g
-}
-
-// syncOp submits t in a fresh single-op group and waits it out.
-func (b *Batched) syncOp(t *Txn) error {
-	g := b.getGroup()
-	b.submit(g, t)
-	err := g.Wait()
-	b.gpool.Put(g)
-	return err
 }
 
 // Read loads the 64-byte block at addr.
@@ -775,64 +745,89 @@ func (b *Batched) ReadWithInfo(addr uint64) ([]byte, memctrl.ReadInfo, error) {
 	return out, info, nil
 }
 
-// ReadInto reads the block holding addr into dst (at least BlockBytes).
+// ReadInto reads the block holding addr into dst (at least BlockBytes
+// long) without allocating on the steady-state hit path (see
+// memctrl.ReadInto).
 func (b *Batched) ReadInto(dst []byte, addr uint64) (memctrl.ReadInfo, error) {
-	var info memctrl.ReadInfo
-	t := Txn{op: opRead, n: BlockBytes, addr: addr, dst: dst, info: &info}
-	err := b.syncOp(&t)
-	return info, err
+	s, inner, err := b.lockShard(addr)
+	if err != nil {
+		return memctrl.ReadInfo{}, err
+	}
+	defer s.mu.Unlock()
+	return s.read(dst, addr, inner, 0)
 }
 
 // Write stores a full 64-byte block at addr.
 func (b *Batched) Write(addr uint64, data []byte) error {
-	t := Txn{op: opWriteRaw, addr: addr, dst: data}
-	if len(data) == BlockBytes {
-		t.op = opWrite
-		t.n = BlockBytes
-		t.dst = nil
-		copy(t.data[:], data)
+	s, inner, err := b.lockShard(addr)
+	if err != nil {
+		return err
 	}
-	return b.syncOp(&t)
+	defer s.mu.Unlock()
+	return s.write(addr, inner, data, 0)
 }
 
-// Settle forces the block holding addr out of its shard's LLC (see
-// memctrl.Settle).
+// Settle forces the block holding addr out of its shard's LLC and into
+// DRAM (see memctrl.Settle) — the per-block fault-injection hook, usable
+// while other goroutines drive other blocks.
 func (b *Batched) Settle(addr uint64) error {
-	return b.syncOp(&Txn{op: opSettle, addr: addr})
+	s, inner, err := b.lockShard(addr)
+	if err != nil {
+		return err
+	}
+	defer s.mu.Unlock()
+	s.ops.Add(1)
+	return s.ctrl.Settle(inner)
 }
 
-// StoredKind returns the ground-truth form of addr's DRAM image.
+// StoredKind returns the ground-truth form of addr's DRAM image (see
+// memctrl.StoredKind); the zero kind after Close.
 func (b *Batched) StoredKind(addr uint64) memctrl.StoredKind {
-	var kind memctrl.StoredKind
-	_ = b.syncOp(&Txn{op: opStoredKind, addr: addr, kind: &kind})
-	return kind
+	s, inner, err := b.lockShard(addr)
+	if err != nil {
+		return 0
+	}
+	defer s.mu.Unlock()
+	return s.ctrl.StoredKind(inner)
 }
 
-// InDRAM reports whether addr has a DRAM image.
+// InDRAM reports whether addr has a DRAM image (false after Close).
 func (b *Batched) InDRAM(addr uint64) bool {
-	var ok bool
-	_ = b.syncOp(&Txn{op: opInDRAM, addr: addr, ok: &ok})
-	return ok
+	s, inner, err := b.lockShard(addr)
+	if err != nil {
+		return false
+	}
+	defer s.mu.Unlock()
+	return s.ctrl.InDRAM(inner)
 }
 
 // InjectBitFlip flips one bit of the DRAM image holding addr (bit 0..511),
 // returning false when the block is not resident in DRAM.
 func (b *Batched) InjectBitFlip(addr uint64, bit int) bool {
-	var ok bool
-	_ = b.syncOp(&Txn{op: opInjectBit, addr: addr, arg: int32(bit), ok: &ok})
-	return ok
+	s, inner, err := b.lockShard(addr)
+	if err != nil {
+		return false
+	}
+	defer s.mu.Unlock()
+	s.ops.Add(1)
+	return s.ctrl.InjectBitFlip(inner, bit)
 }
 
 // InjectChipFailure corrupts every byte one chip contributes to the DRAM
 // image holding addr, returning false when the block is not resident.
 func (b *Batched) InjectChipFailure(addr uint64, chip int, pattern byte) bool {
-	var ok bool
-	_ = b.syncOp(&Txn{op: opInjectChip, addr: addr, arg: int32(chip), pat: pattern, ok: &ok})
-	return ok
+	s, inner, err := b.lockShard(addr)
+	if err != nil {
+		return false
+	}
+	defer s.mu.Unlock()
+	s.ops.Add(1)
+	return s.ctrl.InjectChipFailure(inner, chip, pattern)
 }
 
 // ReadBytes reads an arbitrary byte range, crossing block (and hence
-// shard) boundaries as needed.
+// shard) boundaries as needed. It allocates only the result; use
+// ReadBytesInto for the allocation-free form.
 func (b *Batched) ReadBytes(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
 	if err := b.ReadBytesInto(out, addr); err != nil {
@@ -841,50 +836,51 @@ func (b *Batched) ReadBytes(addr uint64, n int) ([]byte, error) {
 	return out, nil
 }
 
-// ReadBytesInto fills dst from addr. The covered blocks are submitted as
-// one group, so a range spanning multiple shards reads them in parallel.
+// ReadBytesInto fills dst with len(dst) bytes starting at addr, one
+// covered block at a time. A read over LLC-resident blocks performs no
+// allocations.
 func (b *Batched) ReadBytesInto(dst []byte, addr uint64) error {
-	g := b.getGroup()
 	for len(dst) > 0 {
 		base := addr &^ (BlockBytes - 1)
 		off := int(addr - base)
-		take := BlockBytes - off
-		if take > len(dst) {
-			take = len(dst)
+		take := min(BlockBytes-off, len(dst))
+		s, inner, err := b.lockShard(base)
+		if err != nil {
+			return err
 		}
-		t := Txn{op: opRead, off: uint8(off), n: uint8(take), addr: base, dst: dst[:take]}
-		b.submit(g, &t)
+		err = s.readPart(dst[:take], off, base, inner)
+		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
 		addr += uint64(take)
 		dst = dst[take:]
 	}
-	err := g.Wait()
-	b.gpool.Put(g)
-	return err
+	return nil
 }
 
 // WriteBytes writes an arbitrary byte range, performing read-modify-write
-// on partially covered blocks. Each covered block updates atomically; the
-// range as a whole is not atomic (same contract as Controller.WriteBytes),
-// and the covered blocks are submitted as one group so a range spanning
-// multiple shards writes them in parallel.
+// on partially covered blocks. Each covered block is updated atomically
+// (its shard is locked across the read-modify-write); the range as a whole
+// is not. Writes over LLC-resident blocks perform no allocations.
 func (b *Batched) WriteBytes(addr uint64, data []byte) error {
-	g := b.getGroup()
 	for len(data) > 0 {
 		base := addr &^ (BlockBytes - 1)
 		off := int(addr - base)
-		take := BlockBytes - off
-		if take > len(data) {
-			take = len(data)
+		take := min(BlockBytes-off, len(data))
+		s, inner, err := b.lockShard(base)
+		if err != nil {
+			return err
 		}
-		t := Txn{op: opWrite, off: uint8(off), n: uint8(take), addr: base}
-		copy(t.data[:take], data[:take])
-		b.submit(g, &t)
+		err = s.writePart(off, data[:take], base, inner)
+		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
 		addr += uint64(take)
 		data = data[take:]
 	}
-	err := g.Wait()
-	b.gpool.Put(g)
-	return err
+	return nil
 }
 
 // flushShard submits one opFlush to a specific shard, gating on its mode
@@ -987,8 +983,6 @@ func (g *Group) ReadFlow(dst []byte, addr uint64, flow uint64) {
 	}
 	t := &c.txn
 	t.op = opRead
-	t.off = 0
-	t.n = BlockBytes
 	t.addr = addr
 	t.inner = inner
 	t.flow = flow
@@ -1016,8 +1010,6 @@ func (g *Group) WriteFlow(addr uint64, data []byte, flow uint64) {
 	t.g = g
 	if len(data) == BlockBytes {
 		t.op = opWrite
-		t.off = 0
-		t.n = BlockBytes
 		copy(t.data[:], data)
 	} else {
 		// Invalid-length passthrough: carry the caller's slice so the
@@ -1064,28 +1056,23 @@ func (b *Batched) SetMode(m Mode) {
 	}
 }
 
-// Drain moves every shard to ModeDraining and blocks until each is fenced:
-// ring empty, executed, and flushed (memctrl.Drain). The fence covers
-// every operation whose submit returned before Drain was called;
-// operations submitted concurrently with Drain may execute after the
-// fence (the worker re-fences as soon as they complete). Returns the first
-// flush error. The shards stay Draining — and producers stay blocked —
-// until Resume.
+// Drain moves every shard to ModeDraining and blocks until each is
+// quiesced (quiesceShard): everything that passed the mode gate before
+// the flip — ring submissions and synchronous calls alike — has executed
+// and been flushed (memctrl.Drain), and nothing executes afterwards.
+// Returns the first flush error. The shards stay Draining — and
+// producers stay blocked — until Resume.
 func (b *Batched) Drain() error {
 	bshards := b.topo.Load().bshards
+	// Flip every shard first, so all workers drain concurrently.
 	for _, bs := range bshards {
 		b.setMode(bs, ModeDraining)
 	}
 	var ferr error
 	for _, bs := range bshards {
-		bs.mu.Lock()
-		for !bs.fenced && Mode(bs.mode.Load()) == ModeDraining {
-			bs.cond.Wait()
+		if err := b.quiesceShard(bs); err != nil && ferr == nil {
+			ferr = err
 		}
-		if bs.drainErr != nil && ferr == nil {
-			ferr = bs.drainErr
-		}
-		bs.mu.Unlock()
 	}
 	return ferr
 }
@@ -1093,14 +1080,7 @@ func (b *Batched) Drain() error {
 // DrainShard is Drain for a single shard — the per-shard quiesce the live
 // migration path uses while the other shards keep serving.
 func (b *Batched) DrainShard(i int) error {
-	bs := b.topo.Load().bshards[i]
-	b.setMode(bs, ModeDraining)
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	for !bs.fenced && Mode(bs.mode.Load()) == ModeDraining {
-		bs.cond.Wait()
-	}
-	return bs.drainErr
+	return b.quiesceShard(b.topo.Load().bshards[i])
 }
 
 // Resume re-enables every shard after a Pause or Drain, unblocking any
@@ -1153,9 +1133,14 @@ func (b *Batched) NumShards() int { return b.topo.Load().n }
 // reports the new scheme.
 func (b *Batched) Mode() memctrl.Mode { return b.topo.Load().scheme }
 
-// Ops returns the total operations routed through the controller (same
-// counted set as Controller.Ops), including operations executed by shards
-// that a reshard has since retired.
+// Ops returns the total operations routed through the front-end, summed
+// lock-free from per-shard atomic counters and including operations
+// executed by shards that a reshard has since retired. Counted: every
+// state-affecting access — reads (Read, ReadWithInfo, ReadInto, Group
+// reads), writes, per-block ReadBytes/ReadBytesInto/WriteBytes updates,
+// Settle, and fault injections. Not counted: pure queries (StoredKind,
+// InDRAM) and maintenance sweeps (Flush), which touch no per-block access
+// path. The counted set is pinned by TestOpsCountsPerMethod.
 func (b *Batched) Ops() uint64 {
 	n := b.retiredOps.Load()
 	for _, bs := range b.topo.Load().bshards {
@@ -1165,14 +1150,19 @@ func (b *Batched) Ops() uint64 {
 }
 
 // Snapshot merges every shard's telemetry tree and attaches the batch
-// section (ring/batch/drain counters merged across shards). Every
-// hierarchy section is byte-identical to what the equivalent sharded
-// Controller would report for the same single-threaded access sequence;
-// the Batch section is the only unconditional addition, and a Migration
-// section appears once any reconfiguration has run. Counters from shards
-// retired by a reshard stay included via the retired accumulators; a
-// snapshot taken while a reshard is mid-cutover may transiently miss the
-// shard being folded in.
+// section (ring/batch/drain counters merged across shards; synchronous
+// calls bypass the rings and do not appear there). All hierarchy section
+// fields are monotonic sums (histograms merge bucket-wise) and derived
+// rates are recomputed after the merge, so for the same single-threaded
+// access sequence every hierarchy section is byte-identical to what one
+// unsharded controller reports (the per-shard ECC regions of region-backed
+// schemes aside). The Batch section is the only unconditional addition,
+// and a Migration section appears once any reconfiguration has run.
+// Shards are snapshotted lock-free (the counters are atomics), so a
+// snapshot never stalls traffic; the result is per-shard consistent, not
+// globally instantaneous. Counters from shards retired by a reshard stay
+// included via the retired accumulators; a snapshot taken while a reshard
+// is mid-cutover may transiently miss the shard being folded in.
 func (b *Batched) Snapshot() telemetry.Snapshot {
 	topo := b.topo.Load()
 	var snap telemetry.Snapshot
@@ -1204,9 +1194,13 @@ func (b *Batched) Snapshot() telemetry.Snapshot {
 // Snapshot's Migration section).
 func (b *Batched) MigrationTel() *telemetry.MigrationCounters { return &b.migTel }
 
-// SetTracer attaches an execution-trace flight recorder to every live
-// shard (safe under live traffic; see Controller.SetTracer). Shards built
-// by later reshards inherit the tracer.
+// SetTracer attaches an execution-trace flight recorder: the ring set is
+// grown to cover every live shard and each shard records into its own
+// ring through its own single-writer handle (the shard lock serializes
+// writers). Safe under live traffic — each handle swap happens under the
+// owning shard's lock, so the telemetry handler's /trace/start and
+// /trace/stop endpoints can toggle tracing on a live instance. Pass nil
+// to detach. Shards built by later reshards inherit the tracer.
 func (b *Batched) SetTracer(t *trace.Tracer) {
 	b.reconfMu.Lock()
 	defer b.reconfMu.Unlock()
@@ -1239,9 +1233,8 @@ func (b *Batched) SetTracer(t *trace.Tracer) {
 // racy — Drain (or Close) the front-end first.
 func (b *Batched) Shard(i int) *memctrl.Controller { return b.topo.Load().bshards[i].slot.ctrl }
 
-// Sharded exposes an equivalent sharded controller over the same slots.
-// Mixing direct calls on it with batched submissions is safe (both paths
-// take the same shard locks) but forfeits batching for those calls. It is
-// rebuilt when a reshard completes; during an active reshard it lags the
-// route table, so treat it as diagnostics-only under reconfiguration.
-func (b *Batched) Sharded() *Controller { return b.topo.Load().inner }
+// Sharded returns b itself: b's synchronous methods are the lock-per-op
+// path. It stays for code outside this module that reaches that path
+// through it (the serve benchmark counts DRAM images with
+// Sharded().InDRAM).
+func (b *Batched) Sharded() *Batched { return b }

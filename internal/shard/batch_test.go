@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,31 +12,25 @@ import (
 	"cop/internal/memctrl"
 )
 
-// newBatched builds a batched controller over the same geometry as
-// newSharded, with a small ring so full-ring backpressure gets exercised.
-func newBatched(m memctrl.Mode) *Batched {
-	return NewBatched(BatchedConfig{
-		Shard:    Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4},
-		RingSize: 32,
-		BatchMax: 8,
-	})
-}
-
 // TestBatchedMatchesShardedReplay drives the same single-threaded mixed
-// trace (writes, reads, settles, injections, flushes) through a sharded
-// and a batched controller in lockstep and requires byte-identical
-// results: every read, every decoder verdict, the DRAM residency and
-// stored-kind ground truth of every block, the op counter, and the full
-// telemetry snapshot (minus the batch-only section).
+// trace (writes, reads, settles, injections, flushes) through two
+// identical front-ends in lockstep: one takes every access as an inline
+// synchronous call ("sharded"), the other takes full-block reads and
+// writes as one-op Group windows through the rings ("batched"). Both
+// paths must leave byte-identical results: every read and its error, the
+// decoder verdicts of ReadWithInfo, Settle and InjectBitFlip, the DRAM
+// residency and stored-kind ground truth of every block, the op counter,
+// and the full telemetry snapshot (minus the Batch section, which only
+// counts ring traffic).
 func TestBatchedMatchesShardedReplay(t *testing.T) {
 	for _, m := range []memctrl.Mode{memctrl.COP, memctrl.COPER} {
-		m := m
 		t.Run(m.String(), func(t *testing.T) {
-			sh := newSharded(m)
-			ba := newBatched(m)
-			defer ba.Close()
+			sh := newBatched(t, m)
+			ba := newBatched(t, m)
+			g := ba.NewGroup()
 			rng := rand.New(rand.NewSource(0xBA7C4))
 			const blocks = 1 << 11 // 8x the aggregate LLC: plenty of evictions
+			got := make([]byte, BlockBytes)
 
 			for i := 0; i < 20000; i++ {
 				addr := uint64(rng.Intn(blocks)) * BlockBytes
@@ -48,11 +43,18 @@ func TestBatchedMatchesShardedReplay(t *testing.T) {
 						data = compressibleData(rng)
 					}
 					errS := sh.Write(addr, data)
-					errB := ba.Write(addr, data)
-					if (errS == nil) != (errB == nil) {
+					g.Write(addr, data)
+					if errB := g.Wait(); (errS == nil) != (errB == nil) {
 						t.Fatalf("op %d: Write(%#x) err sharded=%v batched=%v", i, addr, errS, errB)
 					}
-				case 4, 5, 6:
+				case 4, 5:
+					want, errS := sh.Read(addr)
+					g.Read(got, addr)
+					errB := g.Wait()
+					if (errS == nil) != (errB == nil) || (errS == nil && !bytes.Equal(want, got)) {
+						t.Fatalf("op %d: Read(%#x) diverged: err %v/%v", i, addr, errS, errB)
+					}
+				case 6:
 					gotS, infoS, errS := sh.ReadWithInfo(addr)
 					gotB, infoB, errB := ba.ReadWithInfo(addr)
 					if (errS == nil) != (errB == nil) || infoS != infoB || !bytes.Equal(gotS, gotB) {
@@ -90,13 +92,13 @@ func TestBatchedMatchesShardedReplay(t *testing.T) {
 			}
 
 			// Telemetry snapshots must match byte-for-byte once the batch
-			// section (which the sharded front-end does not have) is removed.
-			snapB := ba.Snapshot()
+			// section, which counts only ring traffic, is removed.
+			snapS, snapB := sh.Snapshot(), ba.Snapshot()
 			if snapB.Batch == nil || snapB.Batch.Enqueued == 0 || snapB.Batch.Batches == 0 {
 				t.Fatalf("batched snapshot is missing batch counters: %+v", snapB.Batch)
 			}
-			snapB.Batch = nil
-			jsS, err := sh.Snapshot().JSON()
+			snapS.Batch, snapB.Batch = nil, nil
+			jsS, err := snapS.JSON()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,14 +125,12 @@ func TestBatchedMatchesShardedReplay(t *testing.T) {
 }
 
 // TestBatchedRangeOpsMatchUnsharded drives random non-aligned,
-// shard-straddling byte ranges through an unsharded reference, the
-// sharded front-end, and the batched front-end, and demands identical
-// bytes from all three.
+// shard-straddling byte ranges through an unsharded reference and the
+// sharded front-end, and demands identical bytes from ReadBytes and
+// ReadBytesInto.
 func TestBatchedRangeOpsMatchUnsharded(t *testing.T) {
 	ref := newUnsharded(memctrl.COP)
-	sh := newSharded(memctrl.COP)
-	ba := newBatched(memctrl.COP)
-	defer ba.Close()
+	ba := newBatched(t, memctrl.COP)
 	rng := rand.New(rand.NewSource(0x0B17E5))
 	const span = 1 << 16 // bytes of address space
 
@@ -143,27 +143,24 @@ func TestBatchedRangeOpsMatchUnsharded(t *testing.T) {
 			if err := ref.WriteBytes(addr, data); err != nil {
 				t.Fatalf("op %d: ref WriteBytes: %v", i, err)
 			}
-			if err := sh.WriteBytes(addr, data); err != nil {
-				t.Fatalf("op %d: sharded WriteBytes: %v", i, err)
-			}
 			if err := ba.WriteBytes(addr, data); err != nil {
-				t.Fatalf("op %d: batched WriteBytes: %v", i, err)
+				t.Fatalf("op %d: sharded WriteBytes: %v", i, err)
 			}
 		} else {
 			want, err := ref.ReadBytes(addr, n)
 			if err != nil {
 				t.Fatalf("op %d: ref ReadBytes: %v", i, err)
 			}
-			gotS, err := sh.ReadBytes(addr, n)
+			gotS, err := ba.ReadBytes(addr, n)
 			if err != nil {
 				t.Fatalf("op %d: sharded ReadBytes: %v", i, err)
 			}
 			gotB := make([]byte, n)
 			if err := ba.ReadBytesInto(gotB, addr); err != nil {
-				t.Fatalf("op %d: batched ReadBytesInto: %v", i, err)
+				t.Fatalf("op %d: sharded ReadBytesInto: %v", i, err)
 			}
 			if !bytes.Equal(want, gotS) || !bytes.Equal(want, gotB) {
-				t.Fatalf("op %d: ReadBytes(%#x,%d) diverged\nref:     %x\nsharded: %x\nbatched: %x",
+				t.Fatalf("op %d: ReadBytes(%#x,%d) diverged\nref:           %x\nReadBytes:     %x\nReadBytesInto: %x",
 					i, addr, n, want, gotS, gotB)
 			}
 		}
@@ -173,8 +170,7 @@ func TestBatchedRangeOpsMatchUnsharded(t *testing.T) {
 // TestBatchedGroupAsync checks the asynchronous window API: writes and
 // reads issued through groups land exactly like synchronous ones.
 func TestBatchedGroupAsync(t *testing.T) {
-	ba := newBatched(memctrl.COP)
-	defer ba.Close()
+	ba := newBatched(t, memctrl.COP)
 
 	const blocks = 512
 	want := make([][]byte, blocks)
@@ -216,8 +212,7 @@ func TestBatchedGroupAsync(t *testing.T) {
 // goroutines through group windows, then checks the exact op count and
 // that a final Drain fences everything.
 func TestBatchedConcurrentStress(t *testing.T) {
-	ba := newBatched(memctrl.COP)
-	defer ba.Close()
+	ba := newBatched(t, memctrl.COP)
 	const goroutines = 8
 	const opsPerG = 3000
 
@@ -275,8 +270,7 @@ func TestBatchedConcurrentStress(t *testing.T) {
 // every shard, a producer submitting during the drain blocks until
 // Resume, and the shard modes read back as expected throughout.
 func TestBatchedDrainFence(t *testing.T) {
-	ba := newBatched(memctrl.COP)
-	defer ba.Close()
+	ba := newBatched(t, memctrl.COP)
 	rng := rand.New(rand.NewSource(0xD7A1))
 	for i := 0; i < 500; i++ {
 		addr := uint64(rng.Intn(256)) * BlockBytes
@@ -326,8 +320,7 @@ func TestBatchedDrainFence(t *testing.T) {
 // TestBatchedPauseResume checks that ModePaused holds already-enqueued
 // work unexecuted until the shard is re-enabled.
 func TestBatchedPauseResume(t *testing.T) {
-	ba := newBatched(memctrl.COP)
-	defer ba.Close()
+	ba := newBatched(t, memctrl.COP)
 	if err := ba.Write(0, compressibleData(rand.New(rand.NewSource(7)))); err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +343,7 @@ func TestBatchedPauseResume(t *testing.T) {
 // TestBatchedDrainShard drains one shard while the others keep serving —
 // the live-migration shape.
 func TestBatchedDrainShard(t *testing.T) {
-	ba := newBatched(memctrl.COP)
-	defer ba.Close()
+	ba := newBatched(t, memctrl.COP)
 	rng := rand.New(rand.NewSource(0x51))
 	for i := 0; i < 256; i++ {
 		if err := ba.Write(uint64(i)*BlockBytes, compressibleData(rng)); err != nil {
@@ -375,10 +367,103 @@ func TestBatchedDrainShard(t *testing.T) {
 	}
 }
 
+// TestDrainFencesInFlightWrites checks the drain fence against writes
+// caught mid-submission, for Drain and for DrainShard + WithShard (the
+// sequence a live migration runs to switch one shard's machinery). Shard
+// 0's worker is stalled behind its own slot lock while goroutines issue
+// one-op Group windows and synchronous Writes at it: the ring fills, the
+// surplus Group writes pass the mode gate and wait for a free cell, and
+// the synchronous writes wait for the lock. The drain then flips the mode
+// and the stall ends. When the drain returns, the shard must be quiesced,
+// and no write may execute on it until it is resumed.
+func TestDrainFencesInFlightWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		drain  func(b *Batched) error
+		resume func(b *Batched)
+	}{
+		{"Drain", (*Batched).Drain, (*Batched).Resume},
+		{"DrainShard+WithShard", func(b *Batched) error {
+			if err := b.DrainShard(0); err != nil {
+				return err
+			}
+			return b.WithShard(0, func(c *memctrl.Controller) error {
+				if !c.Quiesced() {
+					return errors.New("shard 0 not quiesced inside WithShard")
+				}
+				return nil
+			})
+		}, func(b *Batched) { b.SetShardMode(0, ModeEnabled) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ba := newBatched(t, memctrl.COP)
+			bs := ba.topo.Load().bshards[0]
+			data := compressibleData(rand.New(rand.NewSource(1)))
+
+			hold, held := make(chan struct{}), make(chan struct{})
+			go func() {
+				_ = ba.WithShard(0, func(*memctrl.Controller) error {
+					close(held)
+					<-hold
+					return nil
+				})
+			}()
+			<-held
+
+			const groupWriters, syncWriters = 4 * 32, 8 // 4x the ring size
+			var wg sync.WaitGroup
+			for w := 0; w < groupWriters+syncWriters; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					addr := uint64(4*w) * BlockBytes // block index = 0 mod 4: shard 0
+					if w < groupWriters {
+						g := ba.NewGroup()
+						g.Write(addr, data)
+						_ = g.Wait()
+					} else {
+						_ = ba.Write(addr, data)
+					}
+				}(w)
+			}
+			for bs.ring.tail.Load() < groupWriters {
+				runtime.Gosched()
+			}
+			time.Sleep(time.Millisecond) // let the synchronous writers reach the lock
+
+			done := make(chan error, 1)
+			go func() { done <- tc.drain(ba) }()
+			for ba.ShardMode(0) != ModeDraining {
+				runtime.Gosched()
+			}
+			close(hold)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if !ba.Quiesced() {
+				t.Fatal("not quiesced when the drain returned")
+			}
+			before := bs.slot.ops.Load()
+			time.Sleep(5 * time.Millisecond)
+			if got := bs.slot.ops.Load(); got != before {
+				t.Fatalf("%d writes executed after the drain returned", got-before)
+			}
+			if !ba.Quiesced() {
+				t.Fatal("a write landed between the drain and the resume")
+			}
+			tc.resume(ba)
+			wg.Wait()
+			if got := ba.Ops(); got != groupWriters+syncWriters {
+				t.Fatalf("Ops() = %d after resume, want %d", got, groupWriters+syncWriters)
+			}
+		})
+	}
+}
+
 // TestBatchedCloseRejects checks that submissions after Close fail with
 // ErrClosed instead of deadlocking.
 func TestBatchedCloseRejects(t *testing.T) {
-	ba := newBatched(memctrl.COP)
+	ba := newBatched(t, memctrl.COP)
 	if err := ba.Write(0, compressibleData(rand.New(rand.NewSource(3)))); err != nil {
 		t.Fatal(err)
 	}
@@ -430,17 +515,18 @@ func TestBatchedModeString(t *testing.T) {
 }
 
 // TestBatchReorderKeepsSameBlockOrder pins the FR-FCFS reorder contract:
-// same-block order is preserved, non-read/write ops act as barriers.
+// same-block order is preserved, non-read/write ops act as barriers. The
+// flow field carries each transaction's enqueue sequence number.
 func TestBatchReorderKeepsSameBlockOrder(t *testing.T) {
-	mk := func(op txnOp, inner uint64, seq int32) Txn {
-		return Txn{op: op, inner: inner, arg: seq}
+	mk := func(op txnOp, inner, seq uint64) Txn {
+		return Txn{op: op, inner: inner, flow: seq}
 	}
 	row := uint64(1) << batchRowShift
 	txns := []Txn{
 		mk(opRead, 3*row, 0),
 		mk(opWrite, 0, 1),
 		mk(opRead, 0, 2),
-		mk(opSettle, 5*row, 3), // barrier
+		mk(opFlush, 5*row, 3), // barrier
 		mk(opWrite, 4*row, 4),
 		mk(opRead, 2*row, 5),
 	}
@@ -451,12 +537,12 @@ func TestBatchReorderKeepsSameBlockOrder(t *testing.T) {
 	newRowSorter(len(batch)).reorder(batch)
 	// First run sorts to rows {0,0,3}; same-block pair (1 then 2) stays
 	// ordered. Barrier stays put. Second run sorts to rows {2,4}.
-	wantSeq := []int32{1, 2, 0, 3, 5, 4}
+	wantSeq := []uint64{1, 2, 0, 3, 5, 4}
 	for i, want := range wantSeq {
-		if batch[i].arg != want {
-			got := make([]int32, len(batch))
+		if batch[i].flow != want {
+			got := make([]uint64, len(batch))
 			for j := range batch {
-				got[j] = batch[j].arg
+				got[j] = batch[j].flow
 			}
 			t.Fatalf("reordered sequence = %v, want %v", got, wantSeq)
 		}
@@ -473,7 +559,7 @@ func TestBatchReorderScatteredRows(t *testing.T) {
 	for i := range txns {
 		// Rows scattered over a 4096-row span force the fallback path.
 		row := uint64(rng.Intn(4096))
-		txns[i] = Txn{op: opRead, inner: row<<batchRowShift | uint64(i), arg: int32(i)}
+		txns[i] = Txn{op: opRead, inner: row<<batchRowShift | uint64(i), flow: uint64(i)}
 	}
 	batch := make([]*Txn, n)
 	for i := range txns {
@@ -485,8 +571,8 @@ func TestBatchReorderScatteredRows(t *testing.T) {
 		if prev > cur {
 			t.Fatalf("rows out of order at %d: %d > %d", i, prev, cur)
 		}
-		if prev == cur && batch[i-1].arg > batch[i].arg {
-			t.Fatalf("stability broken at %d: seq %d before %d", i, batch[i-1].arg, batch[i].arg)
+		if prev == cur && batch[i-1].flow > batch[i].flow {
+			t.Fatalf("stability broken at %d: seq %d before %d", i, batch[i-1].flow, batch[i].flow)
 		}
 	}
 }

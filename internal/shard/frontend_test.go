@@ -12,90 +12,92 @@ import (
 )
 
 // TestOpsCountsPerMethod pins the Ops() counted set documented on
-// Controller.Ops: every state-affecting access counts (per covered block
-// for range ops), pure queries and maintenance sweeps do not. The same
-// table runs against the batched front-end, whose replays must agree.
+// Batched.Ops: every state-affecting access counts (per covered block for
+// range ops), pure queries and maintenance sweeps do not. The subtests
+// split the two execution paths: "sharded" runs the synchronous calls,
+// which execute inline under the shard lock, and "batched" sends Group
+// windows and Flush through the rings.
 func TestOpsCountsPerMethod(t *testing.T) {
-	type api interface {
-		Read(uint64) ([]byte, error)
-		ReadWithInfo(uint64) ([]byte, memctrl.ReadInfo, error)
-		ReadInto([]byte, uint64) (memctrl.ReadInfo, error)
-		Write(uint64, []byte) error
-		ReadBytes(uint64, int) ([]byte, error)
-		ReadBytesInto([]byte, uint64) error
-		WriteBytes(uint64, []byte) error
-		Settle(uint64) error
-		StoredKind(uint64) memctrl.StoredKind
-		InDRAM(uint64) bool
-		InjectBitFlip(uint64, int) bool
-		InjectChipFailure(uint64, int, byte) bool
-		Flush() error
-		Ops() uint64
-	}
-
 	block := make([]byte, BlockBytes)
 	dst := make([]byte, BlockBytes)
 	span := make([]byte, 3*BlockBytes)
-	cases := []struct {
+	type opCase struct {
 		name string
 		want uint64
-		call func(c api)
-	}{
-		{"Read", 1, func(c api) { _, _ = c.Read(0) }},
-		{"ReadWithInfo", 1, func(c api) { _, _, _ = c.ReadWithInfo(0) }},
-		{"ReadInto", 1, func(c api) { _, _ = c.ReadInto(dst, 0) }},
-		{"Write", 1, func(c api) { _ = c.Write(0, block) }},
-		{"Settle", 1, func(c api) { _ = c.Settle(0) }},
-		{"InjectBitFlip", 1, func(c api) { _ = c.InjectBitFlip(0, 3) }},
-		{"InjectChipFailure", 1, func(c api) { _ = c.InjectChipFailure(0, 0, 0xFF) }},
-		// Aligned 3-block range: 3 block updates.
-		{"ReadBytes/3-blocks", 3, func(c api) { _, _ = c.ReadBytes(0, 3*BlockBytes) }},
-		{"ReadBytesInto/3-blocks", 3, func(c api) { _ = c.ReadBytesInto(span, 0) }},
-		{"WriteBytes/3-blocks", 3, func(c api) { _ = c.WriteBytes(0, span) }},
-		// Unaligned 1-byte-past-block range: touches 2 blocks.
-		{"ReadBytes/straddle", 2, func(c api) { _, _ = c.ReadBytes(BlockBytes-1, 2) }},
-		{"WriteBytes/straddle", 2, func(c api) { _ = c.WriteBytes(BlockBytes-1, span[:2]) }},
-		// Pure queries and maintenance are not counted.
-		{"StoredKind", 0, func(c api) { _ = c.StoredKind(0) }},
-		{"InDRAM", 0, func(c api) { _ = c.InDRAM(0) }},
-		{"Flush", 0, func(c api) { _ = c.Flush() }},
+		call func(c *Batched)
 	}
-
-	fronts := []struct {
-		name  string
-		build func() (api, func())
-	}{
-		{"sharded", func() (api, func()) { return newSharded(memctrl.COP), func() {} }},
-		{"batched", func() (api, func()) { b := newBatched(memctrl.COP); return b, b.Close }},
+	run := func(t *testing.T, cases []opCase) {
+		c := newBatched(t, memctrl.COP)
+		// Seed a little state so reads/settles take their normal paths.
+		for i := 0; i < 8; i++ {
+			if err := c.Write(uint64(i)*BlockBytes, block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tc := range cases {
+			before := c.Ops()
+			tc.call(c)
+			if got := c.Ops() - before; got != tc.want {
+				t.Errorf("%s: Ops delta = %d, want %d", tc.name, got, tc.want)
+			}
+		}
 	}
-	for _, fr := range fronts {
-		t.Run(fr.name, func(t *testing.T) {
-			c, done := fr.build()
-			defer done()
-			// Seed a little state so reads/settles take their normal paths.
-			for i := 0; i < 8; i++ {
-				if err := c.Write(uint64(i)*BlockBytes, block); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, tc := range cases {
-				before := c.Ops()
-				tc.call(c)
-				if got := c.Ops() - before; got != tc.want {
-					t.Errorf("%s: Ops delta = %d, want %d", tc.name, got, tc.want)
-				}
-			}
+	t.Run("sharded", func(t *testing.T) {
+		run(t, []opCase{
+			{"Read", 1, func(c *Batched) { _, _ = c.Read(0) }},
+			{"ReadWithInfo", 1, func(c *Batched) { _, _, _ = c.ReadWithInfo(0) }},
+			{"ReadInto", 1, func(c *Batched) { _, _ = c.ReadInto(dst, 0) }},
+			{"Write", 1, func(c *Batched) { _ = c.Write(0, block) }},
+			{"Settle", 1, func(c *Batched) { _ = c.Settle(0) }},
+			{"InjectBitFlip", 1, func(c *Batched) { _ = c.InjectBitFlip(0, 3) }},
+			{"InjectChipFailure", 1, func(c *Batched) { _ = c.InjectChipFailure(0, 0, 0xFF) }},
+			// Aligned 3-block range: 3 block updates.
+			{"ReadBytes/3-blocks", 3, func(c *Batched) { _, _ = c.ReadBytes(0, 3*BlockBytes) }},
+			{"ReadBytesInto/3-blocks", 3, func(c *Batched) { _ = c.ReadBytesInto(span, 0) }},
+			{"WriteBytes/3-blocks", 3, func(c *Batched) { _ = c.WriteBytes(0, span) }},
+			// Unaligned 1-byte-past-block range: touches 2 blocks.
+			{"ReadBytes/straddle", 2, func(c *Batched) { _, _ = c.ReadBytes(BlockBytes-1, 2) }},
+			{"WriteBytes/straddle", 2, func(c *Batched) { _ = c.WriteBytes(BlockBytes-1, span[:2]) }},
+			// Pure queries are not counted.
+			{"StoredKind", 0, func(c *Batched) { _ = c.StoredKind(0) }},
+			{"InDRAM", 0, func(c *Batched) { _ = c.InDRAM(0) }},
 		})
-	}
+	})
+	t.Run("batched", func(t *testing.T) {
+		window := func(submit func(g *Group)) func(c *Batched) {
+			return func(c *Batched) {
+				g := c.NewGroup()
+				submit(g)
+				_ = g.Wait()
+				c.PutGroup(g)
+			}
+		}
+		run(t, []opCase{
+			{"Group.Read", 1, window(func(g *Group) { g.Read(dst, 0) })},
+			{"Group.Write", 1, window(func(g *Group) { g.Write(0, block) })},
+			{"Group.ReadFlow", 1, window(func(g *Group) { g.ReadFlow(dst, 0, 7) })},
+			{"Group.WriteFlow", 1, window(func(g *Group) { g.WriteFlow(0, block, 7) })},
+			// An invalid-length write is still one attempted access.
+			{"Group.Write/raw", 1, window(func(g *Group) { g.Write(0, block[:3]) })},
+			{"Group/3-blocks", 3, window(func(g *Group) {
+				g.Write(0, block)
+				g.Read(dst, BlockBytes)
+				g.Write(2*BlockBytes, block)
+			})},
+			// Maintenance sweeps are not counted.
+			{"Flush", 0, func(c *Batched) { _ = c.Flush() }},
+		})
+	})
 }
 
 // TestSetTracerUnderTraffic attaches and detaches a tracer while
-// concurrent goroutines hammer both front-ends — the /trace/start-style
-// runtime toggle. Run under -race this pins the SetTracer handle swap to
-// the shard locks.
+// concurrent goroutines hammer the front-end — the /trace/start-style
+// runtime toggle. "sharded" drives synchronous calls (inline, under the
+// shard locks), "batched" drives Group windows (the shard workers). Run
+// under -race this pins the SetTracer handle swap to the shard locks.
 func TestSetTracerUnderTraffic(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
-		c := newSharded(memctrl.COP)
+		c := newBatched(t, memctrl.COP)
 		tr := trace.New(trace.Config{})
 		tr.Start()
 		var stop atomic.Bool
@@ -124,8 +126,7 @@ func TestSetTracerUnderTraffic(t *testing.T) {
 		wg.Wait()
 	})
 	t.Run("batched", func(t *testing.T) {
-		b := newBatched(memctrl.COP)
-		defer b.Close()
+		b := newBatched(t, memctrl.COP)
 		tr := trace.New(trace.Config{})
 		tr.Start()
 		var stop atomic.Bool
@@ -162,19 +163,32 @@ func TestSetTracerUnderTraffic(t *testing.T) {
 	})
 }
 
-// TestShardZeroAllocRangeOps pins the scratch-based range paths: over
-// LLC-resident blocks, WriteBytes and ReadBytesInto allocate nothing and
-// ReadBytes allocates exactly its result.
+// TestShardZeroAllocRangeOps pins the allocation-free synchronous paths:
+// over LLC-resident blocks, ReadInto, Write, WriteBytes and ReadBytesInto
+// allocate nothing and ReadBytes allocates exactly its result.
 func TestShardZeroAllocRangeOps(t *testing.T) {
-	c := newSharded(memctrl.COP)
+	c := newBatched(t, memctrl.COP)
 	block := make([]byte, BlockBytes)
 	for i := 0; i < 16; i++ {
 		if err := c.Write(uint64(i)*BlockBytes, block); err != nil {
 			t.Fatal(err)
 		}
 	}
-	span := make([]byte, 3*BlockBytes)
+	dst := make([]byte, BlockBytes)
 	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		addr := uint64(i%16) * BlockBytes
+		if err := c.Write(addr, block); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadInto(dst, addr); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("ReadInto/Write hit path allocates %.1f allocs/op, want 0", n)
+	}
+	span := make([]byte, 3*BlockBytes)
 	if n := testing.AllocsPerRun(200, func() {
 		addr := uint64(i%4)*BlockBytes + 7 // unaligned: RMW at both ends
 		if err := c.WriteBytes(addr, span[:2*BlockBytes+11]); err != nil {
@@ -206,7 +220,7 @@ func FuzzRangeOps(f *testing.F) {
 	f.Add([]byte{0xFF, 0x00, 0x80, 0x40, 0x13, 0x37, 0xBE, 0xEF, 0xCA, 0xFE, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		ref := newUnsharded(memctrl.COP)
-		sh := newSharded(memctrl.COP)
+		sh := newBatched(t, memctrl.COP)
 		const span = 1 << 12
 		payload := make([]byte, 2*BlockBytes+2)
 		for i := range payload {

@@ -76,30 +76,9 @@ func (b *Batched) reshardLocked(newN int) error {
 	// nothing until their family's cutover routes stripes at them. Handle
 	// index reuse with a still-live old shard is benign: the old shard is
 	// quiesced (recording nothing) before its replacement sees traffic.
-	perShard := scfg.Mem
-	perShard.LLCBytes = scfg.Mem.LLCBytes / newN
-	perShard.Tracer = nil
+	newShards := b.startShards(scfg)
 	newLogN := log2(newN)
 	newMask := uint64(newN - 1)
-	if b.tracer != nil {
-		b.tracer.EnsureShards(maxN)
-	}
-	newShards := make([]*batchShard, newN)
-	newSlots := make([]*shardSlot, newN)
-	for i := range newShards {
-		slot := &shardSlot{ctrl: memctrl.New(perShard)}
-		if b.tracer != nil {
-			h := b.tracer.Handle(i)
-			slot.th = h
-			slot.ctrl.AttachTracer(h)
-		}
-		newSlots[i] = slot
-		newShards[i] = newBatchShard(b.ringSize, slot, i, newLogN)
-	}
-	b.wg.Add(newN)
-	for _, bs := range newShards {
-		go b.run(bs)
-	}
 	// closeNew shuts down the not-yet-routed targets on abort (families
 	// from and up never cut over; new shard i belongs to family i%minN).
 	closeNew := func(from int) {
@@ -128,7 +107,6 @@ func (b *Batched) reshardLocked(newN int) error {
 		bshards: topo.bshards,
 		n:       oldN,
 		scheme:  topo.scheme,
-		inner:   topo.inner,
 	}
 	b.topo.Store(cur)
 
@@ -175,7 +153,6 @@ func (b *Batched) reshardLocked(newN int) error {
 			bshards: distinctShards(next),
 			n:       oldN,
 			scheme:  topo.scheme,
-			inner:   topo.inner,
 		}
 		b.topo.Store(cur)
 		for _, src := range srcs {
@@ -184,18 +161,13 @@ func (b *Batched) reshardLocked(newN int) error {
 	}
 
 	// Final topology: compact table at the new size (routing-identical to
-	// the last transitional table) and a fresh equivalent Controller.
-	finalEntries := make([]routeEntry, newN)
-	for i := range finalEntries {
-		finalEntries[i] = routeEntry{newShards[i], newLogN}
-	}
+	// the last transitional table).
 	b.topo.Store(&topology{
 		mask:    newMask,
-		entries: finalEntries,
+		entries: compactRoutes(newShards),
 		bshards: newShards,
 		n:       newN,
 		scheme:  topo.scheme,
-		inner:   &Controller{shards: newSlots, mask: newMask, logN: newLogN, mode: scfg.Mem.Mode},
 	})
 	b.cfg.Shard = scfg
 	b.migTel.Reshards.Inc()
@@ -219,11 +191,14 @@ func distinctShards(entries []routeEntry) []*batchShard {
 
 // quiesceShard fences one shard completely: Draining mode, the drain
 // fence, then every producer holding an inflight claim and everything
-// already published is waited out, and a final drain catches stragglers
-// that raced the fence. On nil return the shard cannot execute another
-// transaction until re-enabled: producers that raised inflight before the
-// mode flip have published and been consumed (the ring is drained), and
-// later producers observe a non-Enabled mode and park.
+// already published is waited out, and a final drain under the slot lock
+// catches stragglers that raced the fence. On nil return the shard cannot
+// execute another operation until re-enabled: ring producers that raised
+// inflight before the mode flip have published and been consumed (the
+// ring is drained), later ones observe a non-Enabled mode and park, and
+// synchronous calls check the mode under the slot lock this final drain
+// takes. Drain, DrainShard and Reshard all fence through here. A shard
+// closed meanwhile is not waited on: its worker may be gone.
 func (b *Batched) quiesceShard(bs *batchShard) error {
 	b.setMode(bs, ModeDraining)
 	bs.mu.Lock()
@@ -232,10 +207,7 @@ func (b *Batched) quiesceShard(bs *batchShard) error {
 	}
 	err := bs.drainErr
 	bs.mu.Unlock()
-	for bs.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
-	for !bs.ring.drained() {
+	for (bs.inflight.Load() != 0 || !bs.ring.empty()) && Mode(bs.mode.Load()) != modeClosed {
 		bs.wakeWorker()
 		runtime.Gosched()
 	}
@@ -351,14 +323,8 @@ func (b *Batched) WithShard(i int, fn func(*memctrl.Controller) error) error {
 func (b *Batched) CommitScheme(m memctrl.Mode, copCfg core.Config) {
 	b.cfg.Shard.Mem.Mode = m
 	b.cfg.Shard.Mem.COPConfig = copCfg
-	old := b.topo.Load()
-	slots := make([]*shardSlot, len(old.bshards))
-	for i, bs := range old.bshards {
-		slots[i] = bs.slot
-	}
-	next := *old
+	next := *b.topo.Load()
 	next.scheme = m
-	next.inner = &Controller{shards: slots, mask: old.mask, logN: old.bshards[0].logN, mode: m}
 	b.topo.Store(&next)
 }
 

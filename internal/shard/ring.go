@@ -86,9 +86,6 @@ func (r *txnRing) release(n int) {
 		c := &r.cells[h&r.mask]
 		t := &c.txn
 		t.dst = nil
-		t.info = nil
-		t.ok = nil
-		t.kind = nil
 		t.g = nil
 		t.err = nil
 		c.seq.Store(h + uint64(len(r.cells)))
@@ -101,6 +98,3 @@ func (r *txnRing) release(n int) {
 // ring means every claimed transaction has fully executed — which makes
 // this safe to poll from outside the worker (resharding's quiesce does).
 func (r *txnRing) empty() bool { return r.tail.Load() == r.head.Load() }
-
-// drained is empty, named for the cross-goroutine quiesce use.
-func (r *txnRing) drained() bool { return r.empty() }

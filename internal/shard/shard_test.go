@@ -29,10 +29,17 @@ func randomData(rng *rand.Rand) []byte {
 	return b
 }
 
-// newSharded builds a 4-shard controller whose aggregate LLC matches
-// newUnsharded's, small enough that evictions happen fast.
-func newSharded(m memctrl.Mode) *Controller {
-	return New(Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4})
+// newBatched builds a 4-shard front-end whose aggregate LLC matches
+// newUnsharded's, small enough that evictions happen fast, with a small
+// ring so full-ring backpressure gets exercised. The test closes it.
+func newBatched(t testing.TB, m memctrl.Mode) *Batched {
+	b := NewBatched(BatchedConfig{
+		Shard:    Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4},
+		RingSize: 32,
+		BatchMax: 8,
+	})
+	t.Cleanup(b.Close)
+	return b
 }
 
 func newUnsharded(m memctrl.Mode) *memctrl.Controller {
@@ -41,9 +48,16 @@ func newUnsharded(m memctrl.Mode) *memctrl.Controller {
 
 func TestShardCountNormalization(t *testing.T) {
 	mem := memctrl.Config{Mode: memctrl.COP, LLCBytes: 64 * 1024, LLCWays: 8}
+	open := func(cfg Config) (*Batched, error) {
+		b, err := NewBatchedChecked(BatchedConfig{Shard: cfg})
+		if err == nil {
+			t.Cleanup(b.Close)
+		}
+		return b, err
+	}
 	// Valid explicit counts are taken exactly as given.
 	for _, n := range []int{1, 2, 8, 128} {
-		c, err := NewChecked(Config{Mem: mem, Shards: n})
+		c, err := open(Config{Mem: mem, Shards: n})
 		if err != nil {
 			t.Fatalf("Shards=%d: unexpected error %v", n, err)
 		}
@@ -54,26 +68,26 @@ func TestShardCountNormalization(t *testing.T) {
 	// Invalid explicit counts are errors, never silently rounded:
 	// non-powers of two, more shards than the 128 LLC sets, negatives.
 	for _, n := range []int{3, 5, 6, 7, 256, 1024, -1} {
-		if _, err := NewChecked(Config{Mem: mem, Shards: n}); err == nil {
+		if _, err := open(Config{Mem: mem, Shards: n}); err == nil {
 			t.Errorf("Shards=%d: want error, got nil", n)
 		}
 	}
 	// A non-power-of-two set geometry is also an error.
 	bad := memctrl.Config{Mode: memctrl.COP, LLCBytes: 96 * 1024, LLCWays: 8}
-	if _, err := NewChecked(Config{Mem: bad, Shards: 2}); err == nil {
+	if _, err := open(Config{Mem: bad, Shards: 2}); err == nil {
 		t.Error("non-power-of-two set count: want error, got nil")
 	}
-	// New panics where NewChecked errors.
+	// NewBatched panics where NewBatchedChecked errors.
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("New(Shards=3): want panic")
+				t.Error("NewBatched(Shards=3): want panic")
 			}
 		}()
-		New(Config{Mem: mem, Shards: 3})
+		NewBatched(BatchedConfig{Shard: Config{Mem: mem, Shards: 3}})
 	}()
 	// Shards=0 auto-selects a power of two clamped to the set count.
-	def, err := NewChecked(Config{Mem: memctrl.Config{Mode: memctrl.COP}})
+	def, err := open(Config{Mem: memctrl.Config{Mode: memctrl.COP}})
 	if err != nil {
 		t.Fatalf("auto shard count: %v", err)
 	}
@@ -89,9 +103,16 @@ func TestShardCountNormalization(t *testing.T) {
 }
 
 // TestShardedMatchesUnshardedReplay replays one deterministic trace through
-// a plain Controller and a ShardedController and requires identical
-// functional results: every read returns the same bytes, and injected
-// faults produce the same corrected/uncorrectable classification. The
+// a plain memctrl.Controller and the sharded front-end and requires
+// identical functional results. Accesses alternate between the two
+// execution paths — synchronous calls run inline, one-op Group windows go
+// through the rings — so both are held to the same reference: every read
+// returns the same bytes and decoder verdict (ReadWithInfo), Settle and
+// InjectBitFlip agree, injected faults get the same corrected/
+// uncorrectable classification, every block's DRAM residency and stored
+// kind match, Ops counts every access, and the snapshot JSON is
+// byte-identical (minus the Batch section; minus the ECC region section
+// for COP-ER, whose per-shard regions lay out entries differently). The
 // set-index-compatible striping makes even hit/miss/eviction behavior
 // line up exactly.
 func TestShardedMatchesUnshardedReplay(t *testing.T) {
@@ -99,7 +120,66 @@ func TestShardedMatchesUnshardedReplay(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
 			single := newUnsharded(m)
-			sharded := newSharded(m)
+			sharded := newBatched(t, m)
+			g := sharded.NewGroup()
+			var ops uint64 // accesses Ops must count
+			viaGroup := false
+
+			write := func(addr uint64, d []byte) {
+				t.Helper()
+				ops++
+				viaGroup = !viaGroup
+				var err error
+				if viaGroup {
+					g.Write(addr, d)
+					err = g.Wait()
+				} else {
+					err = sharded.Write(addr, d)
+				}
+				if errS := single.Write(addr, d); (err == nil) != (errS == nil) {
+					t.Fatalf("write %#x: error mismatch: %v vs %v", addr, errS, err)
+				}
+			}
+			read := func(addr uint64) {
+				t.Helper()
+				ops++
+				viaGroup = !viaGroup
+				a, ia, aerr := single.ReadWithInfo(addr)
+				if viaGroup {
+					b := make([]byte, BlockBytes)
+					g.Read(b, addr)
+					if berr := g.Wait(); (aerr == nil) != (berr == nil) {
+						t.Fatalf("group read %#x: error mismatch: %v vs %v", addr, aerr, berr)
+					}
+					if aerr == nil && !bytes.Equal(a, b) {
+						t.Fatalf("group read %#x: data mismatch", addr)
+					}
+					return
+				}
+				b, ib, berr := sharded.ReadWithInfo(addr)
+				if (aerr == nil) != (berr == nil) {
+					t.Fatalf("read %#x: error mismatch: %v vs %v", addr, aerr, berr)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("read %#x: data mismatch", addr)
+				}
+				if m == memctrl.COPER {
+					// Raw COP-ER images embed region pointers, which the
+					// per-shard regions assign differently, so the
+					// incidental valid-codeword count over those bits may
+					// differ. Every verdict field must still agree.
+					ia.ValidCodewords, ib.ValidCodewords = 0, 0
+				}
+				if ia != ib {
+					t.Fatalf("read %#x: ReadWithInfo mismatch %+v vs %+v", addr, ia, ib)
+				}
+			}
+			flush := func() {
+				t.Helper()
+				if errA, errB := single.Flush(), sharded.Flush(); (errA == nil) != (errB == nil) {
+					t.Fatalf("flush: error mismatch: %v vs %v", errA, errB)
+				}
+			}
 
 			// Mixed-content working set far larger than the LLC.
 			blocks, mixOps := 4096, 8000
@@ -108,53 +188,37 @@ func TestShardedMatchesUnshardedReplay(t *testing.T) {
 			}
 			for i := 0; i < blocks; i++ {
 				addr := uint64(i) * BlockBytes
-				var d []byte
 				if i%3 == 0 {
-					d = randomData(rng)
+					write(addr, randomData(rng))
 				} else {
-					d = compressibleData(rng)
-				}
-				if err := single.Write(addr, d); err != nil {
-					t.Fatal(err)
-				}
-				if err := sharded.Write(addr, d); err != nil {
-					t.Fatal(err)
+					write(addr, compressibleData(rng))
 				}
 			}
-			// Interleave reads and rewrites.
+			// Interleave reads, rewrites, settles and the odd flush.
 			for i := 0; i < mixOps; i++ {
 				addr := uint64(rng.Intn(blocks)) * BlockBytes
-				if i%4 == 0 {
-					d := compressibleData(rng)
-					if err := single.Write(addr, d); err != nil {
-						t.Fatal(err)
+				switch {
+				case i%4 == 0:
+					write(addr, compressibleData(rng))
+				case i%16 == 7:
+					ops++
+					if errA, errB := single.Settle(addr), sharded.Settle(addr); (errA == nil) != (errB == nil) {
+						t.Fatalf("settle %#x: error mismatch: %v vs %v", addr, errA, errB)
 					}
-					if err := sharded.Write(addr, d); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				a, aerr := single.Read(addr)
-				b, berr := sharded.Read(addr)
-				if (aerr == nil) != (berr == nil) {
-					t.Fatalf("read %#x: error mismatch: %v vs %v", addr, aerr, berr)
-				}
-				if !bytes.Equal(a, b) {
-					t.Fatalf("read %#x: data mismatch", addr)
+				case i%512 == 9:
+					flush()
+				default:
+					read(addr)
 				}
 			}
-			if err := single.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sharded.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			flush()
 
 			// Same single-bit fault campaign on both; same classification.
 			injected := 0
 			for i := 0; i < 512; i++ {
 				addr := uint64(rng.Intn(blocks)) * BlockBytes
 				bit := rng.Intn(8 * BlockBytes)
+				ops++
 				ia := single.InjectBitFlip(addr, bit)
 				ib := sharded.InjectBitFlip(addr, bit)
 				if ia != ib {
@@ -162,26 +226,48 @@ func TestShardedMatchesUnshardedReplay(t *testing.T) {
 				}
 				if ia {
 					injected++
-					a, aerr := single.Read(addr)
-					b, berr := sharded.Read(addr)
-					if (aerr == nil) != (berr == nil) {
-						t.Fatalf("post-inject read %#x: %v vs %v", addr, aerr, berr)
-					}
-					if !bytes.Equal(a, b) {
-						t.Fatalf("post-inject read %#x: data mismatch", addr)
-					}
+					read(addr)
 				}
 			}
 			if injected == 0 {
 				t.Fatal("fault campaign never hit DRAM-resident blocks")
 			}
-			sa, sb := single.Snapshot().Controller, sharded.Snapshot().Controller
-			if sa.CorrectedErrors != sb.CorrectedErrors || sa.UncorrectableErrors != sb.UncorrectableErrors {
-				t.Fatalf("classification mismatch: single corrected=%d uncorrectable=%d, sharded corrected=%d uncorrectable=%d",
-					sa.CorrectedErrors, sa.UncorrectableErrors, sb.CorrectedErrors, sb.UncorrectableErrors)
+			flush()
+			if got := sharded.Ops(); got != ops {
+				t.Fatalf("Ops() = %d, want %d", got, ops)
 			}
-			if sa.Loads != sb.Loads || sa.Stores != sb.Stores || sa.Fills != sb.Fills || sa.Writebacks != sb.Writebacks {
-				t.Fatalf("traffic mismatch:\nsingle  %+v\nsharded %+v", sa, sb)
+
+			// DRAM ground truth, block by block.
+			for blk := 0; blk < blocks; blk++ {
+				addr := uint64(blk) * BlockBytes
+				if inA, inB := single.InDRAM(addr), sharded.InDRAM(addr); inA != inB {
+					t.Fatalf("InDRAM(%#x): %v vs %v", addr, inA, inB)
+				}
+				if kA, kB := single.StoredKind(addr), sharded.StoredKind(addr); kA != kB {
+					t.Fatalf("StoredKind(%#x): %v vs %v", addr, kA, kB)
+				}
+			}
+
+			sa, sb := single.Snapshot(), sharded.Snapshot()
+			if sb.Batch == nil || sb.Batch.Enqueued == 0 {
+				t.Fatalf("group windows left no batch counters: %+v", sb.Batch)
+			}
+			sb.Batch = nil
+			if m == memctrl.COPER {
+				sa.Region, sb.Region = nil, nil
+				sa.Finalize()
+				sb.Finalize()
+			}
+			ja, err := sa.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := sb.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ja, jb) {
+				t.Fatalf("snapshot JSON diverged:\n--- unsharded\n%s\n--- sharded\n%s", ja, jb)
 			}
 		})
 	}
@@ -203,7 +289,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 	}
 	for _, m := range []memctrl.Mode{memctrl.COP, memctrl.COPER} {
 		t.Run(m.String(), func(t *testing.T) {
-			c := newSharded(m)
+			c := newBatched(t, m)
 			var wg sync.WaitGroup
 			errs := make(chan error, goroutines)
 			for g := 0; g < goroutines; g++ {
@@ -256,7 +342,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 // straddle shard boundaries from many goroutines. Each goroutine owns a
 // disjoint range, so data must round-trip exactly even under concurrency.
 func TestShardedConcurrentByteRanges(t *testing.T) {
-	c := newSharded(memctrl.COPER)
+	c := newBatched(t, memctrl.COPER)
 	const (
 		goroutines = 8
 		spanBytes  = 1000 // not block-aligned: exercises RMW + crossing
@@ -298,7 +384,7 @@ func TestShardedConcurrentByteRanges(t *testing.T) {
 
 func TestShardedFlushSettlesAllShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := newSharded(memctrl.COP)
+	c := newBatched(t, memctrl.COP)
 	var addrs []uint64
 	for i := 0; i < 64; i++ {
 		addr := uint64(i) * BlockBytes // touches every shard in turn
@@ -331,7 +417,7 @@ func TestShardedFlushUnderContention(t *testing.T) {
 	)
 	for _, m := range []memctrl.Mode{memctrl.COP, memctrl.COPER} {
 		t.Run(m.String(), func(t *testing.T) {
-			c := newSharded(m)
+			c := newBatched(t, m)
 			final := make([][][]byte, writers)
 			var wg sync.WaitGroup
 			errs := make(chan error, writers+flushers)
@@ -411,7 +497,7 @@ func TestShardedInjectedErrorEquivalence(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			single := newUnsharded(m)
-			sharded := newSharded(m)
+			sharded := newBatched(t, m)
 			const blocks = 1024
 			for i := 0; i < blocks; i++ {
 				addr := uint64(i) * BlockBytes
@@ -497,7 +583,7 @@ func TestShardedInjectedErrorEquivalence(t *testing.T) {
 // mode every sharded block must survive a whole-chip failure.
 func TestShardedChipFailure(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	c := newSharded(memctrl.COPChipkill)
+	c := newBatched(t, memctrl.COPChipkill)
 	ref := map[uint64][]byte{}
 	for i := 0; i < 32; i++ {
 		addr := uint64(i) * BlockBytes
@@ -531,7 +617,7 @@ func TestShardedChipFailure(t *testing.T) {
 // aggregate view and that the lock-free op counter tracks the call count.
 func TestShardedStatsAggregation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := newSharded(memctrl.COP)
+	c := newBatched(t, memctrl.COP)
 	const n = 256
 	for i := 0; i < n; i++ {
 		if err := c.Write(uint64(i)*BlockBytes, compressibleData(rng)); err != nil {
@@ -568,7 +654,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 // (CI race job) verifies the lock-free counter reads, and monotonicity of
 // the observed load count verifies snapshots never go backwards.
 func TestShardedSnapshotUnderTraffic(t *testing.T) {
-	c := newSharded(memctrl.COP)
+	c := newBatched(t, memctrl.COP)
 	rng := rand.New(rand.NewSource(11))
 	const blocks = 512
 	for i := 0; i < blocks; i++ {

@@ -271,9 +271,10 @@ func (c *DRAMCounters) Snapshot() DRAMStats {
 	}
 }
 
-// BatchStats is the batched front-end section (per-shard request rings,
-// merged across shards). Present only when the hierarchy is driven through
-// the batched datapath; a sharded or unsharded controller omits it.
+// BatchStats is the sharded front-end's ring section (per-shard request
+// rings, merged across shards). It counts only what crosses the rings —
+// group windows, flushes and drains; synchronous calls run inline and do
+// not appear. An unsharded controller omits it.
 type BatchStats struct {
 	// Enqueued counts transactions accepted into a ring; Batches counts
 	// worker dequeue rounds (one lock acquisition each).
@@ -501,7 +502,7 @@ type DerivedStats struct {
 // Snapshot is the coherent telemetry tree for one memory hierarchy: the
 // merged controller and cache sections, optional region and DRAM sections,
 // and rates derived from the merged counters. Produced by
-// memctrl.Controller.Snapshot and shard.Controller.Snapshot; exported as
+// memctrl.Controller.Snapshot and shard.Batched.Snapshot; exported as
 // cop.Snapshot.
 type Snapshot struct {
 	// Scheme is the protection mode name (memctrl.Mode.String()).
@@ -598,7 +599,7 @@ func (s Snapshot) JSON() ([]byte, error) {
 }
 
 // Source is anything that can produce a Snapshot — both
-// memctrl.Controller and shard.Controller satisfy it. The HTTP handler
+// memctrl.Controller and shard.Batched satisfy it. The HTTP handler
 // and exporters accept a Source so they serve live state.
 type Source interface {
 	Snapshot() Snapshot

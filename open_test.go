@@ -1,7 +1,7 @@
 package cop_test
 
 // Tests for the unified cop.Open constructor and the cop.Store surface it
-// returns: each topology option yields the right concrete front-end, all
+// returns: each topology option yields the right concrete front-end, both
 // of them satisfy Store identically, and invalid option sets report
 // errors instead of panicking.
 
@@ -65,10 +65,11 @@ func TestOpenSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, ok := st.(*cop.ShardedMemory)
+	sm, ok := st.(*cop.BatchedMemory)
 	if !ok {
-		t.Fatalf("got %T, want *cop.ShardedMemory", st)
+		t.Fatalf("got %T, want *cop.BatchedMemory", st)
 	}
+	defer sm.Close()
 	if sm.NumShards() != 4 {
 		t.Fatalf("shards = %d, want 4", sm.NumShards())
 	}
@@ -125,6 +126,9 @@ func TestOpenErrors(t *testing.T) {
 	// Bad shard geometry errors instead of panicking.
 	if _, err := cop.Open(cop.WithShards(3)); err == nil {
 		t.Error("non-power-of-two shard count accepted")
+	}
+	if _, err := cop.Open(cop.WithBatching(3, 0)); err == nil {
+		t.Error("non-power-of-two ring size accepted")
 	}
 }
 

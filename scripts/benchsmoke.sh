@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # benchsmoke.sh — fail on a >5% throughput regression in the guarded hot
-# paths: the sharded memory front-end (BenchmarkShardedThroughput,
-# telemetry always on), the batched ring front-end
-# (BenchmarkBatchedThroughput, the same traffic through per-shard request
-# rings and group windows), the same batched traffic with the patrol
+# paths: the sharded memory front-end's synchronous Read/Write, which run
+# inline on the caller's goroutine under the shard lock
+# (BenchmarkShardedThroughput, telemetry always on), the same traffic
+# through per-shard request rings and group windows
+# (BenchmarkBatchedThroughput), the same windowed traffic with the patrol
 # scrubber active (BenchmarkMigrationOverhead — its baseline line equals
 # batched-8g's, so the tolerance directly bounds the scrubbing overhead),
 # and the codec datapath (BenchmarkEncode / BenchmarkDecode for the COP-4
@@ -34,6 +35,9 @@ REPO="$(cd "$(dirname "$0")/.." && pwd)"
 
 # Guarded benchmarks. Keys are the benchmark path minus the "Benchmark"
 # prefix and match both the output lines and scripts/benchsmoke.baseline.
+# sharded-8g drives BatchedMemory's synchronous calls; a merge-base that
+# predates the single front-end measured the separate mutex-per-op
+# ShardedMemory under the same key, so the gate compares the two directly.
 # sharded-8g-traceoff is the same traffic with an execution-trace recorder
 # attached but disabled — it pins the disabled-tracing overhead.
 SHARD_KEYS="ShardedThroughput/sharded-8g ShardedThroughput/sharded-8g-traceoff BatchedThroughput/batched-8g MigrationOverhead/scrub-8g"
