@@ -594,25 +594,26 @@ func BenchmarkShardedThroughput(b *testing.B) {
 }
 
 // BenchmarkBatchedThroughput drives the sharded front-end with the exact
-// traffic mix of BenchmarkShardedThroughput/sharded-8g (8 clients, same
-// seeds, same footprint) but through asynchronous groups with a window of
-// outstanding operations, so each shard worker dequeues and executes whole
-// batches under one lock acquisition. scripts/benchsmoke.sh gates
-// batched-8g against its merge-base number.
+// traffic mix of BenchmarkShardedThroughput/sharded-8g (same seeds, same
+// footprint) but through groups with a window of outstanding operations,
+// so each Wait executes its window with one lock acquisition per touched
+// shard. batched-8g runs 8 clients over 8 shards; scripts/benchsmoke.sh
+// gates it against its merge-base number. batched-1g8s issues the same
+// 128-op windows from one client: every window executes on that one
+// goroutine, so it measures what a lone caller pays when no other core
+// runs its shards.
 func BenchmarkBatchedThroughput(b *testing.B) {
 	const (
-		goroutines = 8
-		footprint  = 1 << 13 // blocks: 512 KB, 8x the bench LLC
-		window     = 128     // outstanding ops per client between Waits
+		shards    = 8
+		footprint = 1 << 13 // blocks: 512 KB, 8x the bench LLC
+		window    = 128     // outstanding ops per client between Waits
 	)
 	memCfg := cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}
 	blocks := shardedTrafficBlocks(footprint)
 
-	b.Run("batched-8g", func(b *testing.B) {
+	run := func(b *testing.B, goroutines int) {
 		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
-			Shard:    cop.ShardedMemoryConfig{Mem: memCfg, Shards: goroutines},
-			RingSize: 4 * window,
-			BatchMax: window,
+			Shard: cop.ShardedMemoryConfig{Mem: memCfg, Shards: shards},
 		})
 		defer m.Close()
 		b.SetBytes(cop.BlockBytes)
@@ -651,7 +652,9 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 		for err := range errs {
 			b.Fatal(err)
 		}
-	})
+	}
+	b.Run("batched-8g", func(b *testing.B) { run(b, 8) })
+	b.Run("batched-1g8s", func(b *testing.B) { run(b, 1) })
 }
 
 // BenchmarkMigrationOverhead drives the exact traffic mix of
@@ -671,9 +674,7 @@ func BenchmarkMigrationOverhead(b *testing.B) {
 
 	b.Run("scrub-8g", func(b *testing.B) {
 		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
-			Shard:    cop.ShardedMemoryConfig{Mem: memCfg, Shards: goroutines},
-			RingSize: 4 * window,
-			BatchMax: window,
+			Shard: cop.ShardedMemoryConfig{Mem: memCfg, Shards: goroutines},
 		})
 		defer m.Close()
 		scrub := cop.NewScrubber(m, cop.ScrubOptions{}) // default 1ms patrol

@@ -357,7 +357,7 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int) err
 	const window = 128
 	openSharded := func() (*cop.BatchedMemory, error) {
 		st, err := cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(shard.NextPow2(n)),
-			cop.WithBatching(4*window, window), cop.WithTelemetryRegistry(telReg))
+			cop.WithTelemetryRegistry(telReg))
 		if err != nil {
 			return nil, err
 		}
@@ -403,9 +403,9 @@ func runParallel(out io.Writer, telReg *telemetry.Registry, n, totalOps int) err
 	fmt.Fprintf(out, "  %2d shards, %2d goroutines: %10.0f ops/s  (%v)  synchronous calls\n", sharded.NumShards(), n, pOps, shardedDur.Round(time.Millisecond))
 	fmt.Fprintf(out, "  speedup: %.2fx\n", pOps/sOps)
 
-	// The same traffic submitted through asynchronous groups with a window
-	// of outstanding operations per goroutine, so each shard's worker
-	// executes deep batches under one lock acquisition.
+	// The same traffic issued through groups with a window of outstanding
+	// operations per goroutine, so each Wait executes its window with one
+	// lock acquisition per touched shard.
 	bm, err := openSharded()
 	if err != nil {
 		return err
@@ -469,7 +469,7 @@ func runMigrate(out io.Writer, telReg *telemetry.Registry, n int) error {
 	}
 	const footprint = 1 << 12 // blocks (256 KB), past the 64 KB LLC below
 	memCfg := cop.MemoryConfig{Mode: cop.ModeCOP, LLCBytes: 64 * 1024, LLCWays: 8}
-	st, err := cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(4), cop.WithBatching(0, 0), cop.WithTelemetryRegistry(telReg))
+	st, err := cop.Open(cop.WithMemoryConfig(memCfg), cop.WithShards(4), cop.WithTelemetryRegistry(telReg))
 	if err != nil {
 		return err
 	}

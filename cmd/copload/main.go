@@ -108,8 +108,6 @@ func run(args []string, stdout io.Writer) error {
 	tcfg := copnet.TenantConfig{
 		Scheme:   *mem.Scheme,
 		Shards:   *mem.Shards,
-		RingSize: *mem.Ring,
-		BatchMax: *mem.Batch,
 		LLCBytes: *mem.LLCBytes,
 		LLCWays:  *mem.LLCWays,
 	}

@@ -98,8 +98,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	cfg := copnet.TenantConfig{
 		Scheme:   *mem.Scheme,
 		Shards:   *mem.Shards,
-		RingSize: *mem.Ring,
-		BatchMax: *mem.Batch,
 		LLCBytes: *mem.LLCBytes,
 		LLCWays:  *mem.LLCWays,
 	}
@@ -176,8 +174,8 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	fmt.Fprintf(stdout, "copserve: %v — draining\n", sig)
 
 	// Drain first: new requests bounce with 503 (load balancers see
-	// /readyz go red), admitted requests finish, scrubbers stop, shard
-	// rings empty, LLCs flush. Only then tear the listeners down.
+	// /readyz go red), admitted requests finish, scrubbers stop, shards
+	// fence and LLCs flush. Only then tear the listeners down.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {

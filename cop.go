@@ -221,14 +221,14 @@ func TelemetryHandlerWithTrace(src TelemetrySource, tr *Tracer) http.Handler {
 // addresses are striped across independent per-shard controllers (one
 // lock each), with set-index-compatible striping so single-threaded
 // behavior is identical to an unsharded Memory of the same total
-// configuration. Synchronous calls (Read, Write, ...) run on the caller's
-// goroutine under the owning shard's lock; NewGroup exposes the
-// asynchronous window API, whose requests flow through per-shard MPSC
-// rings to per-shard workers that execute them in batches — one lock
-// acquisition amortized over a window of accesses, with FR-FCFS-friendly
-// reordering inside each batch. SetMode/Drain expose the per-shard
+// configuration. Every operation runs on the caller's goroutine under the
+// owning shard's lock: synchronous calls (Read, Write, ...) take it per
+// access, and NewGroup exposes the asynchronous window API, which buffers
+// a window of accesses and executes it at Wait — one lock acquisition per
+// touched shard amortized over the window, with FR-FCFS-friendly
+// reordering inside each hold. SetMode/Drain expose the per-shard
 // Enabled/Paused/Draining state machine (Draining quiesces a shard to a
-// fenced, flushed state). Release the workers with Close when done.
+// fenced, flushed state). Close rejects every later operation.
 type BatchedMemory = shard.Batched
 
 // ShardedMemoryConfig is the stripe layout embedded in
@@ -241,7 +241,7 @@ type BatchedMemory = shard.Batched
 type ShardedMemoryConfig = shard.Config
 
 // BatchedMemoryConfig parameterizes NewBatchedMemory: the embedded
-// ShardedMemoryConfig plus the per-shard ring capacity and the batch cap.
+// ShardedMemoryConfig.
 type BatchedMemoryConfig = shard.BatchedConfig
 
 // BatchGroup tracks a window of asynchronous batched operations; see
@@ -259,7 +259,7 @@ const (
 )
 
 // NewBatchedMemory builds a batched memory model. It panics on an invalid
-// config; use Open with WithBatching to get the error instead.
+// config; use Open with WithShards to get the error instead.
 func NewBatchedMemory(cfg BatchedMemoryConfig) *BatchedMemory { return shard.NewBatched(cfg) }
 
 // --- unified constructor -------------------------------------------------
@@ -270,8 +270,6 @@ type openConfig struct {
 	scheme     string
 	shards     int
 	concurrent bool
-	ring       int
-	batchMax   int
 	registry   *TelemetryRegistry
 	requireCon bool
 }
@@ -305,17 +303,10 @@ func WithLLC(bytes, ways int) Option {
 
 // WithShards selects the concurrency-safe front-end (*BatchedMemory) with
 // n stripes (0 = auto: smallest power of two >= GOMAXPROCS, clamped to the
-// LLC set count).
+// LLC set count). Its operations, Group windows included, execute on the
+// goroutine that issues or waits on them.
 func WithShards(n int) Option {
 	return func(c *openConfig) { c.shards = n; c.concurrent = true }
-}
-
-// WithBatching sizes the concurrent front-end's per-shard request rings
-// (ringSize entries, 0 = 256) and worker batches (up to batchMax
-// transactions, 0 = 64). Like WithShards it yields a *BatchedMemory, with
-// an auto stripe count unless WithShards fixes one.
-func WithBatching(ringSize, batchMax int) Option {
-	return func(c *openConfig) { c.concurrent = true; c.ring = ringSize; c.batchMax = batchMax }
 }
 
 // WithConcurrent requires a concurrency-safe Store: Open fails rather than
@@ -338,12 +329,12 @@ func WithTelemetryRegistry(reg *TelemetryRegistry) Option {
 // a Store out. The option set picks the implementation —
 //
 //   - no topology options: a *Memory (single-goroutine functional model);
-//   - WithShards or WithBatching: a *BatchedMemory (concurrency-safe; it
-//     owns per-shard worker goroutines, so Close it when done — Open's
-//     documentation, not the Store interface, carries that obligation).
+//   - WithShards: a *BatchedMemory (concurrency-safe; every operation
+//     runs on its caller's goroutine, so it owns no goroutines, and Close
+//     only makes later operations fail with an error).
 //
-// Invalid combinations (unknown scheme name, bad shard geometry,
-// non-power-of-two ring size) are reported as errors, never panics.
+// Invalid combinations (unknown scheme name, bad shard geometry) are
+// reported as errors, never panics.
 // Callers that need the concrete type assert to it (st.(*BatchedMemory)).
 func Open(opts ...Option) (Store, error) {
 	var c openConfig
@@ -364,13 +355,11 @@ func Open(opts ...Option) (Store, error) {
 	switch {
 	case c.concurrent:
 		st, err = shard.NewBatchedChecked(shard.BatchedConfig{
-			Shard:    shard.Config{Mem: c.mem, Shards: c.shards},
-			RingSize: c.ring,
-			BatchMax: c.batchMax,
+			Shard: shard.Config{Mem: c.mem, Shards: c.shards},
 		})
 	default:
 		if c.requireCon {
-			return nil, fmt.Errorf("cop: WithConcurrent requires WithShards or WithBatching (a plain Memory is single-goroutine)")
+			return nil, fmt.Errorf("cop: WithConcurrent requires WithShards (a plain Memory is single-goroutine)")
 		}
 		st = memctrl.New(c.mem)
 	}

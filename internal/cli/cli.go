@@ -97,8 +97,6 @@ func SingleScheme(arg string) (Scheme, error) {
 type MemoryFlags struct {
 	Scheme   *string
 	Shards   *int
-	Ring     *int
-	Batch    *int
 	LLCBytes *int
 	LLCWays  *int
 }
@@ -110,8 +108,6 @@ func AddMemoryFlags(fs *flag.FlagSet, defScheme string) *MemoryFlags {
 	return &MemoryFlags{
 		Scheme:   SchemeFlag(fs, "scheme", defScheme, "protection scheme"),
 		Shards:   fs.Int("shards", 0, "stripe count, a power of two (0: auto from GOMAXPROCS)"),
-		Ring:     fs.Int("ring", 0, "per-shard request-ring capacity, a power of two (0: 256)"),
-		Batch:    fs.Int("batch-max", 0, "max transactions per worker batch (0: 64)"),
 		LLCBytes: fs.Int("llc-bytes", 0, "total LLC capacity in bytes across shards (0: 4 MiB)"),
 		LLCWays:  fs.Int("llc-ways", 0, "LLC associativity (0: 16)"),
 	}

@@ -79,12 +79,11 @@ func TestAddMemoryFlags(t *testing.T) {
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	mem = AddMemoryFlags(fs, "cop-er")
-	args := []string{"-scheme", "cop", "-shards", "4", "-ring", "256", "-batch-max", "32", "-llc-bytes", "65536", "-llc-ways", "8"}
+	args := []string{"-scheme", "cop", "-shards", "4", "-llc-bytes", "65536", "-llc-ways", "8"}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if *mem.Scheme != "cop" || *mem.Shards != 4 || *mem.Ring != 256 ||
-		*mem.Batch != 32 || *mem.LLCBytes != 65536 || *mem.LLCWays != 8 {
+	if *mem.Scheme != "cop" || *mem.Shards != 4 || *mem.LLCBytes != 65536 || *mem.LLCWays != 8 {
 		t.Errorf("parsed bundle %+v", mem)
 	}
 	// Validation happens when the consumer resolves the scheme name, not

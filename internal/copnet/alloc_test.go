@@ -70,6 +70,25 @@ func TestWireZeroAlloc(t *testing.T) {
 	exec := func() { resp = tenant.execBatch(sc) }
 	exec()
 
+	// Server execute, windowed: the same frame through a real batched
+	// tenant, so the ops ride execWindowed's Group window. The frame
+	// touches 64 blocks, which stay LLC-resident after the first run, so
+	// the memory hierarchy underneath allocates nothing either.
+	bm, err := TenantConfig{Scheme: "cop", Shards: 2, LLCBytes: 64 * 1024, LLCWays: 8}.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bm.Close()
+	windowed := &Tenant{name: "alloc-windowed", store: bm, batched: bm}
+	wsc := &frameScratch{}
+	wsc.ops, wsc.traceID, decodeErr = decodeRequestInto(nil, batch.buf)
+	if decodeErr != nil {
+		t.Fatalf("setup: decode: %v", decodeErr)
+	}
+	var wresp []byte
+	execWindowed := func() { wresp = windowed.execBatch(wsc) }
+	execWindowed()
+
 	// Client parse: decode the response frame into a reused result table
 	// (payloads alias the response buffer; nothing is copied).
 	var results []Result
@@ -89,15 +108,20 @@ func TestWireZeroAlloc(t *testing.T) {
 	}
 
 	cases := []struct {
-		name string
-		fn   func()
+		name   string
+		fn     func()
+		pooled bool // draws its Group from the front-end's sync.Pool
 	}{
-		{"Batch/fill", fill},
-		{"decodeRequestInto", decode},
-		{"execBatch", exec},
-		{"parseResults", parse},
+		{"Batch/fill", fill, false},
+		{"decodeRequestInto", decode, false},
+		{"execBatch", exec, false},
+		{"execBatch/windowed", execWindowed, true},
+		{"parseResults", parse, false},
 	}
 	for _, c := range cases {
+		if c.pooled && raceEnabled {
+			continue
+		}
 		c.fn() // warm every lazily-grown buffer before measuring
 		if allocs := testing.AllocsPerRun(200, c.fn); allocs != 0 {
 			t.Errorf("%s: %.1f allocs/op, want 0", c.name, allocs)
@@ -105,5 +129,14 @@ func TestWireZeroAlloc(t *testing.T) {
 	}
 	if decodeErr != nil || parseErr != nil {
 		t.Fatalf("measured runs failed: decode=%v parse=%v", decodeErr, parseErr)
+	}
+	wres, err := parseResults(wresp, batch.kinds, nil)
+	if err != nil {
+		t.Fatalf("windowed response: %v", err)
+	}
+	for i, r := range wres {
+		if r.Err != nil {
+			t.Fatalf("windowed op %d failed: %v", i, r.Err)
+		}
 	}
 }

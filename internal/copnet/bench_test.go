@@ -2,7 +2,7 @@ package copnet
 
 // BenchmarkServeThroughput measures the full networked datapath: client
 // batch encode → HTTP over a loopback listener → server decode → one
-// group window per shard → response decode. The traffic shape matches
+// group window per frame → response decode. The traffic shape matches
 // BenchmarkBatchedThroughput/batched-8g (8 clients, 1/3 writes, window
 // of 128 ops per frame) so the delta between the two is the wire cost.
 // scripts/benchsmoke.sh gates serve-8g against regressions.
@@ -22,15 +22,9 @@ func BenchmarkServeThroughput(b *testing.B) {
 	)
 
 	srv := NewServer()
-	// Ring provisioning matters for the pipelined variant: its peak
-	// outstanding ops (goroutines × depth × window = 4096) must stay
-	// below the aggregate ring capacity (shards × ring size), or every
-	// producer blocks on full rings and throughput collapses ~7x.
 	if _, err := srv.CreateTenant("bench", TenantConfig{
 		Scheme:   "cop",
 		Shards:   goroutines,
-		RingSize: 8 * window,
-		BatchMax: window,
 		LLCBytes: 64 * 1024,
 		LLCWays:  8,
 	}); err != nil {

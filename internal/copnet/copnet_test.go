@@ -361,6 +361,8 @@ func TestAdminRejectsHostileGeometry(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
+	// The first and fourth bodies name a field TenantConfig does not have;
+	// decodeJSON rejects unknown fields, so they are bad configs too.
 	for _, body := range []string{
 		`{"ring_size": 268435456}`,
 		`{"llc_bytes": 1099511627776}`,

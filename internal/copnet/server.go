@@ -59,24 +59,18 @@ type TenantConfig struct {
 	Scheme string `json:"scheme,omitempty"`
 	// Shards is the stripe count (0: auto).
 	Shards int `json:"shards,omitempty"`
-	// RingSize / BatchMax size the per-shard rings and worker batches
-	// (0: 256 / 64).
-	RingSize int `json:"ring_size,omitempty"`
-	BatchMax int `json:"batch_max,omitempty"`
 	// LLCBytes / LLCWays size the total LLC (0: 4 MiB / 16).
 	LLCBytes int `json:"llc_bytes,omitempty"`
 	LLCWays  int `json:"llc_ways,omitempty"`
 }
 
 // Ceilings on a tenant's geometry. A tenant's memory is allocated when it
-// is created — every ring cell and every LLC set up front — and the Go
-// runtime aborts the whole process, unrecoverably, on an allocation it
-// cannot satisfy, so an absurd size in one admin request must be refused
-// rather than attempted. At these ceilings a tenant's rings cost at most
-// ~160 MiB and its LLC ~350 MiB; every in-tree configuration sits far
-// below them.
+// is created — every LLC set up front — and the Go runtime aborts the
+// whole process, unrecoverably, on an allocation it cannot satisfy, so an
+// absurd size in one admin request must be refused rather than attempted.
+// At these ceilings a tenant's LLC costs ~350 MiB; every in-tree
+// configuration sits far below them.
 const (
-	maxTenantRingSize = 1 << 12   // cells per shard ring
 	maxTenantLLCBytes = 256 << 20 // total LLC bytes
 	maxTenantShards   = 256       // explicit stripe count (create and reshard)
 )
@@ -98,8 +92,6 @@ func (c TenantConfig) Open() (*shard.Batched, error) {
 
 func (c TenantConfig) open() (*shard.Batched, error) {
 	switch {
-	case c.RingSize > maxTenantRingSize:
-		return nil, fmt.Errorf("ring size %d exceeds the %d-cell ceiling", c.RingSize, maxTenantRingSize)
 	case c.LLCBytes > maxTenantLLCBytes:
 		return nil, fmt.Errorf("LLC of %d bytes exceeds the %d-byte ceiling", c.LLCBytes, maxTenantLLCBytes)
 	case c.Shards > maxTenantShards:
@@ -118,8 +110,6 @@ func (c TenantConfig) open() (*shard.Batched, error) {
 			Mem:    memctrl.Config{Mode: sc.Mode, LLCBytes: c.LLCBytes, LLCWays: c.LLCWays},
 			Shards: c.Shards,
 		},
-		RingSize: c.RingSize,
-		BatchMax: c.BatchMax,
 	})
 }
 
@@ -381,9 +371,10 @@ func (s *Server) Ready() bool { return !s.draining.Load() }
 
 // Drain executes the graceful-shutdown sequence: flip to not-ready (new
 // requests bounce with 503, /readyz goes red), wait out every admitted
-// request — so every acknowledged write has fully executed — stop the
-// patrol scrubbers, then quiesce each batched tenant via the shard drain
-// machinery (rings emptied, LLCs flushed, shards fenced). After a nil
+// request — so every acknowledged write has fully executed, its frame's
+// window waited out — stop the patrol scrubbers, then quiesce each
+// batched tenant via the shard drain machinery (LLCs flushed, shards
+// fenced). After a nil
 // return, every acknowledged write is durable in the tenants' DRAM
 // images. ctx bounds only the wait for admitted requests; tenant drains
 // run to completion regardless.
@@ -461,8 +452,8 @@ func (t *Tenant) stopScrub() {
 
 // execBatch runs the decoded request frame in sc against the tenant and
 // returns the response frame (backed by sc.resp). With a batched store,
-// consecutive read/write runs ride one group window (deep per-shard
-// batches); barrier ops fence the window exactly like Group.Wait. A
+// consecutive read/write runs ride one group window (one shard-lock hold
+// per touched shard); each barrier op waits the open window out first. A
 // window error is conservatively attributed to every operation in that
 // window (the group reports only the first), so no failed write is ever
 // acknowledged.
@@ -541,14 +532,15 @@ func respSizeHint(ops []reqOp) int {
 // execWindowed executes ops through the batched front-end. Read payload
 // buffers are preassigned in results[i].data.
 //
-// Stage attribution: ring-wait is the time spent feeding a window's ops
-// into the shard rings (including back-pressure stalls on a full ring);
-// window is the time from Wait to window completion plus any synchronous
-// barrier execution. Per-op latency for window ops is the window duration
-// they rode — each op's completion latency is its window's, which is what
-// a caller actually experiences. Traced frames thread each op's derived
-// span id into the shard submission, so the flight recorder joins the
-// wire frame to its shard batches and DRAM accesses.
+// Stage attribution: ring-wait is the time spent buffering a window's ops
+// into the group (the stage keeps its name because dashboards and the
+// serve benchmark read it); window is Wait — the shard-lock waits plus
+// the execution — plus any synchronous barrier execution. Per-op latency
+// for window ops is the window duration they rode — each op's completion
+// latency is its window's, which is what a caller actually experiences.
+// Traced frames thread each op's derived span id into the group, so the
+// flight recorder joins the wire frame to its shard batches and DRAM
+// accesses.
 func (t *Tenant) execWindowed(ops []reqOp, results []opResult, sc *frameScratch) {
 	b := t.batched
 	g := b.NewGroup()
@@ -607,7 +599,7 @@ func (t *Tenant) execWindowed(ops []reqOp, results []opResult, sc *frameScratch)
 }
 
 // execSequential executes ops one by one against a plain Store. All the
-// execution time is window time (there is no ring to wait on).
+// execution time is window time (nothing is buffered).
 func (t *Tenant) execSequential(ops []reqOp, results []opResult, sc *frameScratch) {
 	var window uint64
 	for i := range ops {

@@ -45,8 +45,6 @@ func newBatched(s Scheme, shards int) *shard.Batched {
 			Mem:    memctrl.Config{Mode: s.Mode, COPConfig: s.COP, LLCBytes: 32 * 1024, LLCWays: 8},
 			Shards: shards,
 		},
-		RingSize: 32,
-		BatchMax: 8,
 	})
 }
 

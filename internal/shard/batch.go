@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,16 +12,16 @@ import (
 	"cop/internal/trace"
 )
 
-// This file is the front-end: per-shard MPSC request rings and one worker
-// goroutine per shard that dequeues *batches* — one lock acquisition
-// amortized over up to BatchMax accesses, FR-FCFS-friendly reordering
-// within a batch, and the word-parallel codec run back-to-back so parity
-// masks and codec scratch stay hot — plus synchronous calls that run
-// inline on the caller's goroutine under the owning shard's lock.
-// In-flight requests are pure-data Txn records; each shard carries an
-// explicit Mode (Enabled / Paused / Draining) and Draining quiesces the
-// shard to a fenced, flushed state — the handoff point live scheme
-// migration needs.
+// This file is the front-end. Every operation runs on the goroutine that
+// issues it, under the owning shard's lock: synchronous calls take the
+// lock once per access, and a Group buffers a window of reads and writes
+// and executes it when its owner calls Wait — one lock acquisition per
+// touched shard for up to holdMax accesses, FR-FCFS-friendly reordering
+// within each hold, and the word-parallel codec run back-to-back so parity
+// masks and codec scratch stay hot. Each shard carries an explicit Mode
+// (Enabled / Paused / Draining) that both paths check under the shard
+// lock; Draining quiesces the shard to a fenced, flushed state — the
+// handoff point live scheme migration needs.
 
 // ErrClosed is returned for operations submitted after Close.
 var ErrClosed = errors.New("shard: batched controller is closed")
@@ -29,21 +30,21 @@ var ErrClosed = errors.New("shard: batched controller is closed")
 type Mode int32
 
 const (
-	// ModeEnabled accepts and executes requests (the normal state).
+	// ModeEnabled executes requests (the normal state).
 	ModeEnabled Mode = iota
-	// ModePaused accepts no new requests and executes nothing; requests
-	// already in the ring wait until the shard is re-enabled.
+	// ModePaused executes nothing: synchronous calls and Group windows
+	// that reach the shard wait until it is re-enabled.
 	ModePaused
-	// ModeDraining accepts no new requests, executes everything already in
-	// the ring, then flushes the shard to a fenced state (memctrl.Drain).
-	// The fence covers every request whose submit returned before the
-	// drain began.
+	// ModeDraining executes nothing, like ModePaused; Drain and DrainShard
+	// set it and then flush the shard to a fenced state (memctrl.Drain).
+	// The fence covers every operation that took the shard lock before
+	// the flip: every synchronous call and Group.Wait that has returned.
 	ModeDraining
 	// modeClosed is the terminal state set by Close.
 	modeClosed
 	// modeRetired is the terminal state a reshard leaves a shard in after
-	// its stripes have been cut over to new shards: the worker exits and
-	// blocked producers re-resolve the topology instead of waiting.
+	// its stripes have been cut over to new shards: callers waiting on it
+	// re-resolve the topology instead.
 	modeRetired
 )
 
@@ -64,88 +65,167 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int32(m))
 }
 
-// txnOp selects what a Txn does when its batch executes.
+// txnOp selects what a buffered Txn does when its window executes.
 type txnOp uint8
 
 const (
-	opNone     txnOp = iota
-	opRead           // full-block read into t.dst
-	opWrite          // full-block write of t.data
-	opWriteRaw       // write of t.dst (invalid-length passthrough)
-	opFlush
+	opRead     txnOp = iota // full-block read into t.dst
+	opWrite                 // full-block write of t.data
+	opWriteRaw              // write of t.dst (invalid-length passthrough)
 )
 
-// Txn is one in-flight request: pure data, filled in place in its ring
-// cell, no closures. dst points into the submitting caller's memory and
-// is written by the worker before the transaction's group is signalled.
+// Txn is one buffered window operation: pure data, no closures. dst
+// points into the issuing caller's memory and is written before Wait
+// returns; inner, the shard-local address, is filled in when Wait routes
+// the window.
 type Txn struct {
 	op    txnOp
 	addr  uint64
 	inner uint64
 	flow  uint64           // externally supplied trace flow id; 0 = allocate
-	data  [BlockBytes]byte // write payload (copied at submit)
+	data  [BlockBytes]byte // write payload (copied at issue)
 	dst   []byte           // read destination / raw write payload
-	g     *Group
-	err   error // set by the worker before completion
 }
 
-// Group tracks the completion of a set of asynchronous transactions: an
-// atomic pending count, the first error observed, and a single-waiter
-// wakeup. Submitting a window of operations through one Group and calling
-// Wait once is the batched front-end's memory-level-parallelism API — it
-// is what lets a shard's worker see deep batches. At most one goroutine
-// may call Wait at a time, and no operation may be added between the last
-// submit and Wait's return.
+// holdMax caps how many window operations execute under one acquisition
+// of a shard lock, bounding how long one window keeps synchronous callers
+// and other windows off that shard.
+const holdMax = 64
+
+// Group is a window of asynchronous reads and writes owned by one
+// goroutine. Read and Write only buffer the operation; Wait executes the
+// whole window on the calling goroutine: it routes the buffered
+// operations through the current topology, then visits each touched
+// shard in first-touch order, taking its lock once per up to holdMax
+// operations and row-reordering each hold for DRAM locality. Issuing a
+// window and calling Wait once is the front-end's memory-level-parallelism
+// API — the deeper the window, the fewer lock acquisitions per access. A
+// Group must not be used from two goroutines at once.
 type Group struct {
-	b         *Batched
-	submitted int64        // ops submitted since the last Wait; owner-only
-	pending   atomic.Int64 // submitted-minus-completed, settled at Wait
-	waiting   atomic.Bool
-	wake      chan struct{} // cap 1; token committed by exactly one completer
-	mu        sync.Mutex
-	err       error // first error
+	b    *Batched
+	txns []Txn // the open window, in issue order
+	err  error // first error of the window being executed
+
+	// Wait's scratch, reused across windows.
+	in    []*Txn     // operations still to execute
+	byRun []*Txn     // in, bucketed by owning shard
+	runOf []int32    // in[i]'s index into runs
+	runs  []shardRun // touched shards, in first-touch order
+	rs    rowSorter
 }
 
-// completeN retires n transactions, waking the waiter when the group
-// empties. Between windows pending rests at zero, so completions that
-// outrun Wait's deferred submission count drive it negative and the single
-// zero crossing happens exactly when the last operation of a waited-on
-// window retires.
-func (g *Group) completeN(n int64) {
-	if g.pending.Add(-n) == 0 && g.waiting.Load() && g.waiting.CompareAndSwap(true, false) {
-		g.wake <- struct{}{}
-	}
+// shardRun is one touched shard's part of a routed window:
+// byRun[off:off+n], in issue order.
+type shardRun struct {
+	bs  *batchShard
+	off int
+	n   int
 }
 
 func (g *Group) setErr(err error) {
-	g.mu.Lock()
 	if g.err == nil {
 		g.err = err
 	}
-	g.mu.Unlock()
 }
 
-// Wait blocks until every submitted operation has completed, then returns
+// Wait executes every operation issued since the last Wait, then returns
 // the first error any of them produced (nil if none) and resets the group
-// for reuse. The window's operations are accounted to pending here, in one
-// atomic add, rather than one per submit — the submitter is a single
-// goroutine (the Group contract), so the deferred count is exact.
+// for reuse. Operations whose shard is Paused or Draining wait until it is
+// re-enabled, or — if a reshard retires it meanwhile — run on whichever
+// shard owns their block by then; after Close they fail with ErrClosed.
 func (g *Group) Wait() error {
-	n := g.submitted
-	g.submitted = 0
-	if n != 0 && g.pending.Add(n) > 0 {
-		g.waiting.Store(true)
-		if g.pending.Load() > 0 || !g.waiting.CompareAndSwap(true, false) {
-			// Either operations are still pending, or a completer already
-			// committed to sending the token — consume it either way.
-			<-g.wake
+	in := g.in[:0]
+	for i := range g.txns {
+		in = append(in, &g.txns[i])
+	}
+	for len(in) > 0 {
+		g.route(in)
+		in = in[:0] // refilled with the refused operations; route copied every pointer out
+		for _, r := range g.runs {
+			in = g.execRun(r.bs, g.byRun[r.off:r.off+r.n], in)
 		}
 	}
-	g.mu.Lock()
+	g.in = in
 	err := g.err
-	g.err = nil
-	g.mu.Unlock()
+	g.reset()
 	return err
+}
+
+// route resolves each operation of in through the current topology,
+// filling its shard-local address, and buckets in by owning shard into
+// g.byRun, keeping issue order within each shard.
+func (g *Group) route(in []*Txn) {
+	topo := g.b.topo.Load()
+	g.runs = g.runs[:0]
+	g.runOf = g.runOf[:0]
+	for _, t := range in {
+		var bs *batchShard
+		bs, t.inner = topo.route(t.addr)
+		k := 0
+		for k < len(g.runs) && g.runs[k].bs != bs {
+			k++
+		}
+		if k == len(g.runs) {
+			g.runs = append(g.runs, shardRun{bs: bs})
+		}
+		g.runs[k].n++
+		g.runOf = append(g.runOf, int32(k))
+	}
+	off := 0
+	for k := range g.runs {
+		g.runs[k].off, off = off, off+g.runs[k].n
+		g.runs[k].n = 0
+	}
+	g.byRun = slices.Grow(g.byRun[:0], len(in))[:len(in)]
+	for i, t := range in {
+		r := &g.runs[g.runOf[i]]
+		g.byRun[r.off+r.n] = t
+		r.n++
+	}
+}
+
+// execRun executes one shard's operations, holdMax per lock hold. When the
+// shard turns out not to be Enabled, the rest of ops waits in await and is
+// appended to retry for a fresh route — or, after Close, fails with
+// ErrClosed. Returns retry.
+func (g *Group) execRun(bs *batchShard, ops, retry []*Txn) []*Txn {
+	for len(ops) > 0 {
+		hold := ops[:min(len(ops), holdMax)]
+		g.rs.reorder(hold)
+		ok, err := bs.execHold(hold)
+		if !ok {
+			if bs.await() == awaitClosed {
+				g.setErr(ErrClosed)
+				return retry
+			}
+			return append(retry, ops...)
+		}
+		g.setErr(err)
+		ops = ops[len(hold):]
+	}
+	return retry
+}
+
+// reset discards the window and its error. It drops the caller buffers
+// the buffered operations reference, so a pooled group pins nothing.
+func (g *Group) reset() {
+	for i := range g.txns {
+		g.txns[i].dst = nil
+	}
+	g.txns = g.txns[:0]
+	g.err = nil
+}
+
+// next appends a slot to the window and returns it. Its value fields hold
+// whatever a previous window left there: the caller sets every field the
+// operation's execution reads.
+func (g *Group) next() *Txn {
+	if len(g.txns) == cap(g.txns) {
+		g.txns = append(g.txns, Txn{})
+	} else {
+		g.txns = g.txns[:len(g.txns)+1]
+	}
+	return &g.txns[len(g.txns)-1]
 }
 
 // BatchedConfig parameterizes a batched controller.
@@ -153,32 +233,6 @@ type BatchedConfig struct {
 	// Shard configures the stripe layout (stripe count, protection mode,
 	// total LLC capacity — see Config).
 	Shard Config
-	// RingSize is each shard's request-ring capacity (power of two).
-	// Zero selects 256. Producers backpressure when a ring is full.
-	RingSize int
-	// BatchMax caps how many transactions a worker executes per lock
-	// acquisition. Zero selects 64; values above RingSize are clamped.
-	BatchMax int
-}
-
-// normalize validates cfg and applies defaults.
-func (cfg BatchedConfig) normalize() (BatchedConfig, error) {
-	if cfg.RingSize == 0 {
-		cfg.RingSize = 256
-	}
-	if cfg.RingSize < 2 || cfg.RingSize&(cfg.RingSize-1) != 0 {
-		return BatchedConfig{}, fmt.Errorf("shard: ring size %d is not a power of two >= 2", cfg.RingSize)
-	}
-	if cfg.BatchMax < 0 {
-		return BatchedConfig{}, fmt.Errorf("shard: negative batch max %d", cfg.BatchMax)
-	}
-	if cfg.BatchMax == 0 {
-		cfg.BatchMax = 64
-	}
-	if cfg.BatchMax > cfg.RingSize {
-		cfg.BatchMax = cfg.RingSize
-	}
-	return cfg, nil
 }
 
 // routeEntry maps one stripe to its owning shard. logN rides per entry
@@ -190,9 +244,9 @@ type routeEntry struct {
 	logN uint
 }
 
-// topology is the front-end's immutable routing state. Producers load it
-// once per submission (one atomic pointer read), so a reshard can cut
-// stripes over to new shards by publishing a fresh topology — the
+// topology is the front-end's immutable routing state. Callers load it
+// once per route resolution (one atomic pointer read), so a reshard can
+// cut stripes over to new shards by publishing a fresh topology — the
 // datapath never takes a reconfiguration lock. entries is indexed by
 // blockIdx & mask and always covers every stripe; bshards lists each
 // distinct live shard once (the iteration set for whole-memory sweeps);
@@ -206,22 +260,27 @@ type topology struct {
 	scheme  memctrl.Mode
 }
 
+// route resolves addr to its owning shard and shard-local address.
+func (t *topology) route(addr uint64) (*batchShard, uint64) {
+	blockIdx := addr / BlockBytes
+	e := t.entries[blockIdx&t.mask]
+	return e.bs, (blockIdx>>e.logN)*BlockBytes | addr%BlockBytes
+}
+
 // Batched is the concurrency-safe front-end; all methods may be called
-// from any number of goroutines. It offers two ways in:
+// from any number of goroutines. Every operation runs on the calling
+// goroutine under the owning shard's lock, and there are two ways in:
 //
-//   - Synchronous calls (Read, Write, ReadInto, the byte-range and
-//     fault-injection methods, ...) run inline on the caller's goroutine:
-//     resolve the route, take the owning shard's lock, execute. A
-//     synchronous call is ordered after every operation whose Group.Wait
-//     has returned, but not after operations still open in the caller's
-//     own window — wait the window out first when order matters.
-//     Synchronous calls bypass the rings, so they do not appear in the
+//   - Synchronous calls (Read, Write, ReadInto, Flush, the byte-range and
+//     fault-injection methods, ...) resolve the route, take the owning
+//     shard's lock and execute. A synchronous call is ordered after every
+//     operation whose Group.Wait has returned, but not after operations
+//     still buffered in the caller's own window — wait the window out
+//     first when order matters. Synchronous calls do not appear in the
 //     Snapshot's Batch section.
-//   - NewGroup exposes the asynchronous window API that makes batching
-//     pay: Group reads and writes flow through per-shard rings to
-//     per-shard workers, which execute them in batches under one lock
-//     acquisition. Flush rides the rings too, queueing behind everything
-//     already submitted.
+//   - NewGroup exposes the window API that makes batching pay: a Group
+//     buffers reads and writes, and its Wait executes them with one lock
+//     acquisition per touched shard for up to holdMax operations.
 //
 // Both paths run the same per-block sequences, so a single-threaded
 // replay through either matches an unsharded memctrl.Controller of the
@@ -236,11 +295,8 @@ type topology struct {
 // work by swapping the topology pointer; in-flight and future requests
 // re-resolve their route instead of failing.
 type Batched struct {
-	topo     atomic.Pointer[topology]
-	batchMax int
-	ringSize int
-	gpool    sync.Pool
-	wg       sync.WaitGroup
+	topo  atomic.Pointer[topology]
+	gpool sync.Pool
 
 	// reconfMu serializes reconfiguration (Reshard, Reconfigure,
 	// SetTracer, Close). Never taken on the datapath.
@@ -263,39 +319,19 @@ type Batched struct {
 	migTel telemetry.MigrationCounters
 }
 
-// batchShard is one shard's batching state around its shardSlot.
+// batchShard is one shard's slot plus its mode and window telemetry.
 type batchShard struct {
-	ring     *txnRing
-	slot     *shardSlot
-	idx      int          // stripe index within the topology the shard was built for
-	logN     uint         // log2 of that topology's stripe count
-	inflight atomic.Int64 // producers between route resolution and publish
-	mode     atomic.Int32 // Mode; fast-path mirror of the mu-guarded state
-	sleeping atomic.Bool  // worker parked (or parking)
-	wake     chan struct{}
-	mu       sync.Mutex // guards mode transitions, fenced, drainErr
-	cond     *sync.Cond // broadcast on mode change and on fence completion
-	fenced   bool
-	drainErr error
-	tel      telemetry.BatchCounters
-}
-
-// newBatchShard builds one shard's batching state (worker not started).
-func newBatchShard(ringSize int, slot *shardSlot, idx int, logN uint) *batchShard {
-	bs := &batchShard{
-		ring: newTxnRing(ringSize),
-		slot: slot,
-		idx:  idx,
-		logN: logN,
-		wake: make(chan struct{}, 1),
-	}
-	bs.cond = sync.NewCond(&bs.mu)
-	return bs
+	slot *shardSlot
+	idx  int          // stripe index within the topology the shard was built for
+	logN uint         // log2 of that topology's stripe count
+	mode atomic.Int32 // Mode; read under slot.mu, written under mu
+	mu   sync.Mutex   // guards mode transitions
+	cond *sync.Cond   // broadcast on mode change
+	tel  telemetry.BatchCounters
 }
 
 // NewBatched builds a batched controller, panicking on an invalid config
-// (NewBatchedChecked reports the error instead). The workers it starts are
-// released by Close.
+// (NewBatchedChecked reports the error instead).
 func NewBatched(cfg BatchedConfig) *Batched {
 	b, err := NewBatchedChecked(cfg)
 	if err != nil {
@@ -307,10 +343,6 @@ func NewBatched(cfg BatchedConfig) *Batched {
 // NewBatchedChecked builds a batched controller, returning an error for an
 // invalid config instead of panicking.
 func NewBatchedChecked(cfg BatchedConfig) (*Batched, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
 	// The stored config carries the resolved stripe count and LLC
 	// geometry a later Reshard scales from.
 	scfg, err := cfg.Shard.Normalize()
@@ -319,13 +351,11 @@ func NewBatchedChecked(cfg BatchedConfig) (*Batched, error) {
 	}
 	cfg.Shard = scfg
 	b := &Batched{
-		batchMax: cfg.BatchMax,
-		ringSize: cfg.RingSize,
-		cfg:      cfg,
-		tracer:   scfg.Mem.Tracer,
+		cfg:    cfg,
+		tracer: scfg.Mem.Tracer,
 	}
-	b.gpool.New = func() any { return &Group{wake: make(chan struct{}, 1)} }
-	bshards := b.startShards(scfg)
+	b.gpool.New = func() any { return new(Group) }
+	bshards := b.buildShards(scfg)
 	b.topo.Store(&topology{
 		mask:    uint64(scfg.Shards - 1),
 		entries: compactRoutes(bshards),
@@ -336,12 +366,11 @@ func NewBatchedChecked(cfg BatchedConfig) (*Batched, error) {
 	return b, nil
 }
 
-// startShards builds the scfg.Shards shards of a normalized config — each
+// buildShards builds the scfg.Shards shards of a normalized config — each
 // a fresh controller over LLCBytes/Shards of the cache, recording into
-// its own flight-recorder ring when a tracer is attached — and starts
-// their workers. They serve nothing until a topology routes stripes at
-// them.
-func (b *Batched) startShards(scfg Config) []*batchShard {
+// its own flight-recorder ring when a tracer is attached. They serve
+// nothing until a topology routes stripes at them.
+func (b *Batched) buildShards(scfg Config) []*batchShard {
 	n := scfg.Shards
 	perShard := scfg.Mem
 	perShard.LLCBytes = scfg.Mem.LLCBytes / n
@@ -359,11 +388,9 @@ func (b *Batched) startShards(scfg Config) []*batchShard {
 			slot.th = b.tracer.Handle(i)
 			slot.ctrl.AttachTracer(slot.th)
 		}
-		bshards[i] = newBatchShard(b.ringSize, slot, i, logN)
-	}
-	b.wg.Add(n)
-	for _, bs := range bshards {
-		go b.run(bs)
+		bs := &batchShard{slot: slot, idx: i, logN: logN}
+		bs.cond = sync.NewCond(&bs.mu)
+		bshards[i] = bs
 	}
 	return bshards
 }
@@ -378,80 +405,76 @@ func compactRoutes(bshards []*batchShard) []routeEntry {
 	return entries
 }
 
-// --- submission ---------------------------------------------------------
+// --- execution ----------------------------------------------------------
 
-// reserve resolves addr through the current topology, gates on the owning
-// shard's mode, accounts the submission to g, and claims a ring cell,
-// blocking while the shard is not Enabled. The caller fills c.txn in place
-// (every field the operation's execution reads — see txnRing.reserve) and
-// hands it off with bs.publish, which also drops the inflight hold taken
-// here. Returns ok=false after Close, with ErrClosed already recorded on g.
+// lockShard resolves addr through the current topology and returns the
+// owning shard's slot locked, with the shard-local address, once that
+// shard is Enabled. Returns ErrClosed after Close.
 //
-// The inflight counter is the reshard quiesce handshake: it is raised
-// BEFORE the mode check, so a producer that observed ModeEnabled is
-// visible to a resharder that flipped the mode afterwards and now waits
-// for inflight to reach zero (the mode store and the inflight load are
-// both sequentially consistent atomics). A producer that observes any
-// other mode backs out its hold and waits; retirement sends it back here
-// to re-resolve the (by then updated) topology.
-func (b *Batched) reserve(g *Group, addr uint64) (bs *batchShard, inner uint64, c *txnCell, pos uint64, ok bool) {
-	blockIdx := addr / BlockBytes
+// The mode is checked while holding the slot lock, and that check alone
+// fences the caller: Drain, DrainShard and Reshard flip the mode before
+// they take the same lock for their final flush (quiesceShard), so a
+// call either runs before that flush or observes the flip, waits in
+// await, and re-resolves the route (a retired shard's stripes live
+// elsewhere by then). Window holds (execHold) check the mode the same way.
+func (b *Batched) lockShard(addr uint64) (*shardSlot, uint64, error) {
 	for {
-		topo := b.topo.Load()
-		e := topo.entries[blockIdx&topo.mask]
-		bs = e.bs
-		bs.inflight.Add(1)
+		bs, inner := b.topo.Load().route(addr)
+		s := bs.slot
+		s.mu.Lock()
 		if Mode(bs.mode.Load()) == ModeEnabled {
-			g.submitted++
-			inner = (blockIdx>>e.logN)*BlockBytes | (addr % BlockBytes)
-			c, pos = bs.ring.reserve()
-			return bs, inner, c, pos, true
+			return s, inner, nil
 		}
-		bs.inflight.Add(-1)
-		switch bs.await() {
-		case awaitReady, awaitReroute:
-			// Re-resolve: the shard was re-enabled, or it retired and the
-			// published topology now routes this stripe elsewhere.
-		case awaitClosed:
-			g.setErr(ErrClosed)
-			return nil, 0, nil, 0, false
+		s.mu.Unlock()
+		if bs.await() == awaitClosed {
+			return nil, 0, ErrClosed
 		}
 	}
 }
 
-// publish makes a filled cell visible to the worker, releases the
-// submission's inflight hold, and wakes the worker.
-func (bs *batchShard) publish(c *txnCell, pos uint64) {
-	bs.ring.publish(c, pos)
-	bs.inflight.Add(-1)
-	bs.wakeWorker()
+// execHold executes ops under one acquisition of the shard lock if the
+// shard is Enabled once the lock is held; ok=false means nothing ran.
+// err is the first error the operations produced.
+func (bs *batchShard) execHold(ops []*Txn) (ok bool, err error) {
+	s := bs.slot
+	depth := uint64(len(ops))
+	s.mu.Lock()
+	if Mode(bs.mode.Load()) != ModeEnabled {
+		s.mu.Unlock()
+		return false, nil
+	}
+	if s.th.Enabled() {
+		s.th.ResetFlow()
+		s.th.Record(trace.KindBatchBegin, 0, uint32(depth), 0, 0, 0, 0)
+	}
+	for _, t := range ops {
+		if e := s.execOne(t); e != nil && err == nil {
+			err = e
+		}
+	}
+	if s.th.Enabled() {
+		s.th.ResetFlow()
+		s.th.Record(trace.KindBatchEnd, 0, uint32(depth), 0, 0, 0, 0)
+	}
+	s.mu.Unlock()
+	bs.tel.Enqueued.Add(depth)
+	bs.tel.Batches.Inc()
+	bs.tel.Depth.Observe(depth)
+	bs.tel.MaxDepth.Observe(depth)
+	return true, err
 }
 
-// lockShard is reserve for the synchronous calls: it resolves addr
-// through the current topology and returns the owning shard's slot
-// locked, with the shard-local address, once that shard is Enabled.
-// Returns ErrClosed after Close.
-//
-// The mode is checked while holding the slot lock, and that check alone
-// fences these calls: Drain, DrainShard and Reshard flip the mode before
-// they take the same lock for their final flush (quiesceShard), so a
-// call either runs before that flush or observes the flip, waits in
-// await, and re-resolves the route (a retired shard's stripes live
-// elsewhere by then).
-func (b *Batched) lockShard(addr uint64) (s *shardSlot, inner uint64, err error) {
-	blockIdx := addr / BlockBytes
-	for {
-		topo := b.topo.Load()
-		e := topo.entries[blockIdx&topo.mask]
-		s = e.bs.slot
-		s.mu.Lock()
-		if Mode(e.bs.mode.Load()) == ModeEnabled {
-			return s, (blockIdx>>e.logN)*BlockBytes | (addr % BlockBytes), nil
-		}
-		s.mu.Unlock()
-		if e.bs.await() == awaitClosed {
-			return nil, 0, ErrClosed
-		}
+// execOne executes one window operation through the slot's per-block
+// sequences — the same ones the synchronous calls run. s.mu must be held.
+func (s *shardSlot) execOne(t *Txn) error {
+	switch t.op {
+	case opRead:
+		_, err := s.read(t.dst, t.addr, t.inner, t.flow)
+		return err
+	case opWrite:
+		return s.write(t.addr, t.inner, t.data[:], t.flow)
+	default: // opWriteRaw
+		return s.write(t.addr, t.inner, t.dst, t.flow)
 	}
 }
 
@@ -459,7 +482,7 @@ func (b *Batched) lockShard(addr uint64) (s *shardSlot, inner uint64, err error)
 type awaitVerdict int
 
 const (
-	awaitReady   awaitVerdict = iota // shard re-enabled; claim from it
+	awaitReady   awaitVerdict = iota // shard re-enabled; retry
 	awaitReroute                     // shard retired; re-resolve topology
 	awaitClosed                      // front-end closed; fail the op
 )
@@ -481,155 +504,6 @@ func (bs *batchShard) await() awaitVerdict {
 	}
 }
 
-// wakeWorker hands the parked worker a wake token. The CAS commits exactly
-// one token per park episode, so the cap-1 send never blocks; the leading
-// load keeps the running-worker fast path free of atomic read-modify-writes.
-func (bs *batchShard) wakeWorker() {
-	if bs.sleeping.Load() && bs.sleeping.CompareAndSwap(true, false) {
-		bs.wake <- struct{}{}
-	}
-}
-
-// park blocks the worker until a producer or mode change wakes it. ready
-// is re-evaluated after the sleeping flag is visible, so a wakeup that
-// raced the park is never lost; spurious wakeups are possible and the
-// worker loop tolerates them.
-func (bs *batchShard) park(ready func() bool) {
-	bs.sleeping.Store(true)
-	if ready() && bs.sleeping.CompareAndSwap(true, false) {
-		return
-	}
-	<-bs.wake
-}
-
-// --- worker -------------------------------------------------------------
-
-// run is one shard's worker loop: dequeue a batch, execute it under a
-// single lock acquisition, signal completions; park when idle.
-func (b *Batched) run(bs *batchShard) {
-	defer b.wg.Done()
-	batch := make([]*Txn, 0, b.batchMax)
-	gcs := make([]groupCount, 0, b.batchMax)
-	rs := newRowSorter(b.batchMax)
-	for {
-		m := Mode(bs.mode.Load())
-		if m == ModePaused {
-			bs.park(func() bool { return Mode(bs.mode.Load()) != ModePaused })
-			continue
-		}
-		batch = bs.ring.peek(batch[:0], b.batchMax)
-		if len(batch) > 0 {
-			bs.exec(batch, gcs, rs)
-			bs.ring.release(len(batch))
-			continue
-		}
-		switch m {
-		case modeClosed:
-			return
-		case modeRetired:
-			// Retirement follows a quiesce (inflight drained to zero under
-			// a non-Enabled mode), so nothing can be published after this
-			// point: an empty ring is empty forever.
-			return
-		case ModeDraining:
-			bs.completeDrain()
-		}
-		bs.park(func() bool {
-			return !bs.ring.empty() || Mode(bs.mode.Load()) != m
-		})
-	}
-}
-
-// groupCount accumulates one batch's completions per distinct group, so
-// a group submitting many operations into one batch is retired with a
-// single atomic add instead of one per transaction.
-type groupCount struct {
-	g *Group
-	n int64
-}
-
-// exec runs one peeked batch in place: reorder for row locality, take the
-// shard lock once, execute every transaction, then signal completions
-// outside the lock. The caller releases the ring cells afterwards, so no
-// Txn is ever copied out of the ring.
-func (bs *batchShard) exec(batch []*Txn, gcs []groupCount, rs *rowSorter) {
-	depth := uint64(len(batch))
-	bs.tel.Enqueued.Add(depth)
-	bs.tel.Batches.Inc()
-	bs.tel.Depth.Observe(depth)
-	bs.tel.MaxDepth.Observe(depth)
-	rs.reorder(batch)
-	s := bs.slot
-	s.mu.Lock()
-	if s.th.Enabled() {
-		s.th.ResetFlow()
-		s.th.Record(trace.KindBatchBegin, 0, uint32(depth), 0, 0, 0, 0)
-	}
-	for _, t := range batch {
-		bs.execOne(t)
-	}
-	if s.th.Enabled() {
-		s.th.ResetFlow()
-		s.th.Record(trace.KindBatchEnd, 0, uint32(depth), 0, 0, 0, 0)
-	}
-	s.mu.Unlock()
-	// Coalesce completions per group: the distinct-group count is bounded
-	// by the number of concurrent submitters, so the scan stays short.
-	gcs = gcs[:0]
-	for _, t := range batch {
-		if t.err != nil {
-			t.g.setErr(t.err)
-		}
-		k := 0
-		for ; k < len(gcs) && gcs[k].g != t.g; k++ {
-		}
-		if k == len(gcs) {
-			gcs = append(gcs, groupCount{t.g, 1})
-		} else {
-			gcs[k].n++
-		}
-	}
-	for i := range gcs {
-		gcs[i].g.completeN(gcs[i].n)
-	}
-}
-
-// execOne executes one transaction under the shard lock through the
-// slot's per-block sequences — the same ones the synchronous calls run.
-func (bs *batchShard) execOne(t *Txn) {
-	s := bs.slot
-	switch t.op {
-	case opRead:
-		_, t.err = s.read(t.dst, t.addr, t.inner, t.flow)
-	case opWrite:
-		t.err = s.write(t.addr, t.inner, t.data[:], t.flow)
-	case opWriteRaw:
-		t.err = s.write(t.addr, t.inner, t.dst, t.flow)
-	case opFlush:
-		t.err = s.ctrl.Flush()
-	}
-}
-
-// completeDrain flushes the shard and publishes the fence. Re-invoked on
-// every idle pass while Draining, so a straggler that raced the drain is
-// re-fenced as soon as it has executed.
-func (bs *batchShard) completeDrain() {
-	s := bs.slot
-	s.mu.Lock()
-	err := s.ctrl.Drain()
-	s.mu.Unlock()
-	bs.mu.Lock()
-	if !bs.fenced {
-		bs.fenced = true
-		bs.tel.Drains.Inc()
-	}
-	if err != nil && bs.drainErr == nil {
-		bs.drainErr = err
-	}
-	bs.cond.Broadcast()
-	bs.mu.Unlock()
-}
-
 // --- FR-FCFS batch reordering ------------------------------------------
 
 // batchRowShift approximates DRAM row granularity for batch scheduling:
@@ -637,23 +511,18 @@ func (bs *batchShard) completeDrain() {
 // id turns scattered accesses into row-buffer-friendly runs.
 const batchRowShift = 13
 
-// rowSorter is one worker's reusable scratch for batch reordering: a
-// scatter buffer and a counting array. Allocation-free after construction.
+// rowSorter is one group's reusable scratch for reordering a hold: a
+// scatter buffer and a counting array. It allocates nothing.
 type rowSorter struct {
-	out    []*Txn
+	out    [holdMax]*Txn
 	counts [257]uint32
 }
 
-func newRowSorter(batchMax int) *rowSorter {
-	return &rowSorter{out: make([]*Txn, batchMax)}
-}
-
-// reorder stable-sorts runs of plain reads/writes by DRAM row id.
-// Same-block accesses keep their enqueue order (every pass is stable and a
-// block never spans rows), preserving single-block linearizability; any
-// other operation (flush, raw write) is a scheduling barrier that pins
-// the runs around it. Only the batch's pointers move —
-// the Txn records themselves stay put in their ring cells.
+// reorder stable-sorts runs of plain reads/writes (at most holdMax
+// operations) by DRAM row id. Same-block accesses keep their issue order
+// (every pass is stable and a block never spans rows), preserving
+// single-block linearizability; a raw write is a scheduling barrier that
+// pins the runs around it. Only the pointers move.
 func (rs *rowSorter) reorder(batch []*Txn) {
 	for i := 0; i < len(batch); {
 		if op := batch[i].op; op != opRead && op != opWrite {
@@ -719,12 +588,6 @@ func (rs *rowSorter) sortRunByRow(run []*Txn) {
 }
 
 // --- synchronous API ----------------------------------------------------
-
-func (b *Batched) getGroup() *Group {
-	g := b.gpool.Get().(*Group)
-	g.b = b
-	return g
-}
 
 // Read loads the 64-byte block at addr.
 func (b *Batched) Read(addr uint64) ([]byte, error) {
@@ -883,167 +746,129 @@ func (b *Batched) WriteBytes(addr uint64, data []byte) error {
 	return nil
 }
 
-// flushShard submits one opFlush to a specific shard, gating on its mode
-// like reserve. Returns false when the shard retired before the claim —
-// the caller must re-resolve the topology, because the stripes this flush
-// was meant to cover now live elsewhere. A closed front-end records
-// ErrClosed on g and reports done.
-func (b *Batched) flushShard(bs *batchShard, g *Group) (done bool) {
-	for {
-		bs.inflight.Add(1)
-		if Mode(bs.mode.Load()) == ModeEnabled {
-			g.submitted++
-			c, pos := bs.ring.reserve()
-			t := &c.txn
-			t.op = opFlush
-			t.g = g
-			bs.publish(c, pos)
-			return true
-		}
-		bs.inflight.Add(-1)
-		switch bs.await() {
-		case awaitReady:
-		case awaitReroute:
-			return false
-		case awaitClosed:
-			g.setErr(ErrClosed)
-			return true
-		}
-	}
-}
-
-// Flush drains every shard's dirty LLC lines to DRAM (first error wins).
-// The flush transactions queue behind everything already submitted, so
-// Flush fences all operations whose submit returned before it was called.
-// If a concurrent reshard retires a shard mid-Flush, the pass restarts on
-// the new topology (flushing a shard twice is harmless).
+// Flush drains every shard's dirty LLC lines to DRAM (first error wins),
+// taking each shard's lock once it is Enabled. It fences every operation
+// whose synchronous call or Group.Wait returned before Flush was called —
+// not operations still buffered in an open window. If a concurrent
+// reshard retires a shard mid-Flush, the pass restarts on the new
+// topology (flushing a shard twice is harmless).
 func (b *Batched) Flush() error {
-	g := b.getGroup()
-	for {
-		topo := b.topo.Load()
-		all := true
-		for _, bs := range topo.bshards {
-			if !b.flushShard(bs, g) {
-				all = false
-				break
+	var ferr error
+	topo := b.topo.Load()
+	for i := 0; i < len(topo.bshards); {
+		bs := topo.bshards[i]
+		s := bs.slot
+		s.mu.Lock()
+		if Mode(bs.mode.Load()) == ModeEnabled {
+			if err := s.ctrl.Flush(); err != nil && ferr == nil {
+				ferr = err
 			}
+			s.mu.Unlock()
+			i++
+			continue
 		}
-		if all {
-			break
-		}
-		// Settle what was already submitted, then retry on the topology
-		// the reshard published.
-		if err := g.Wait(); err != nil {
-			b.gpool.Put(g)
-			return err
+		s.mu.Unlock()
+		switch bs.await() {
+		case awaitReroute:
+			topo, i = b.topo.Load(), 0
+		case awaitClosed:
+			if ferr == nil {
+				ferr = ErrClosed
+			}
+			i++
 		}
 	}
-	err := g.Wait()
-	b.gpool.Put(g)
-	return err
+	return ferr
 }
 
 // --- asynchronous API ---------------------------------------------------
 
-// NewGroup returns a completion group for asynchronous submission. Issue a
+// NewGroup returns a window for asynchronous reads and writes: issue a
 // window of Read/Write calls, then Wait once; the deeper the window, the
-// deeper the batches the shard workers can execute. The group is reusable
-// after Wait.
-func (b *Batched) NewGroup() *Group { return b.getGroup() }
+// more operations share each shard-lock acquisition. The group is
+// reusable after Wait.
+func (b *Batched) NewGroup() *Group {
+	g := b.gpool.Get().(*Group)
+	g.b = b
+	return g
+}
 
 // PutGroup returns a group to the front-end's pool for reuse. Callers
-// that submit one window per request (the networked serve datapath) would
-// otherwise allocate a fresh group — and its wake channel — per frame.
-// The group must be quiescent: every issued op waited out, and no further
-// use after the call.
+// that issue one window per request (the networked serve datapath) would
+// otherwise allocate a fresh group — and its window buffers — per frame.
+// A window not waited on is discarded unexecuted, so a pooled group never
+// carries one caller's operations to the next. The group must not be
+// used after the call.
 func (b *Batched) PutGroup(g *Group) {
 	if g == nil || g.b != b {
 		return
 	}
+	g.reset()
 	b.gpool.Put(g)
 }
 
-// Read enqueues an asynchronous full-block read of addr into dst (at
-// least BlockBytes long). dst must stay untouched until Wait returns.
-// The transaction is filled directly in its ring cell — the submission
-// fast path copies no Txn and allocates nothing.
+// Read buffers an asynchronous full-block read of addr into dst (at least
+// BlockBytes long), executed by the next Wait. dst must stay untouched
+// until Wait returns.
 func (g *Group) Read(dst []byte, addr uint64) { g.ReadFlow(dst, addr, 0) }
 
 // ReadFlow is Read with an explicit flight-recorder flow id: the shard
 // route record and everything the controller performs underneath (cache
 // lookup, decode, DRAM commands) join the given flow instead of
 // allocating a fresh one. The networked serve datapath passes wire-derived
-// span ids here; flow 0 behaves exactly like Read. The flow is written
-// unconditionally because ring cells retain value fields from their
-// previous occupant.
+// span ids here; flow 0 behaves exactly like Read.
 func (g *Group) ReadFlow(dst []byte, addr uint64, flow uint64) {
-	bs, inner, c, pos, ok := g.b.reserve(g, addr)
-	if !ok {
-		return
-	}
-	t := &c.txn
-	t.op = opRead
-	t.addr = addr
-	t.inner = inner
-	t.flow = flow
-	t.dst = dst
-	t.g = g
-	bs.publish(c, pos)
+	t := g.next()
+	t.op, t.addr, t.flow, t.dst = opRead, addr, flow, dst
 }
 
-// Write enqueues an asynchronous full-block write. data is copied (once,
-// straight into the ring cell) before Write returns, so the caller may
-// reuse the buffer immediately.
+// Write buffers an asynchronous full-block write, executed by the next
+// Wait. data is copied into the window before Write returns, so the
+// caller may reuse the buffer immediately.
 func (g *Group) Write(addr uint64, data []byte) { g.WriteFlow(addr, data, 0) }
 
 // WriteFlow is Write with an explicit flight-recorder flow id (see
 // ReadFlow).
 func (g *Group) WriteFlow(addr uint64, data []byte, flow uint64) {
-	bs, inner, c, pos, ok := g.b.reserve(g, addr)
-	if !ok {
-		return
-	}
-	t := &c.txn
-	t.addr = addr
-	t.inner = inner
-	t.flow = flow
-	t.g = g
+	t := g.next()
+	t.addr, t.flow = addr, flow
 	if len(data) == BlockBytes {
-		t.op = opWrite
+		t.op, t.dst = opWrite, nil
 		copy(t.data[:], data)
 	} else {
 		// Invalid-length passthrough: carry the caller's slice so the
 		// controller's length validation produces the identical error.
-		t.op = opWriteRaw
-		t.dst = data
+		t.op, t.dst = opWriteRaw, data
 	}
-	bs.publish(c, pos)
 }
 
 // --- mode control -------------------------------------------------------
 
-// setMode publishes m to one shard and wakes everyone who cares. Terminal
-// states (retired, closed) are never overwritten — their workers have
-// exited, so re-enabling would strand submissions in a ring nobody reads.
+// setMode publishes m to one shard and wakes every caller waiting on it.
+// Terminal states (retired, closed) are never overwritten: a retired
+// shard's stripes live elsewhere, and a closed front-end serves nothing.
 func (b *Batched) setMode(bs *batchShard, m Mode) {
 	bs.mu.Lock()
+	defer bs.mu.Unlock()
 	switch Mode(bs.mode.Load()) {
 	case modeRetired, modeClosed:
-		bs.mu.Unlock()
 		return
 	}
 	bs.mode.Store(int32(m))
-	if m != ModeDraining {
-		bs.fenced = false
-		bs.drainErr = nil
-	}
 	bs.cond.Broadcast()
-	bs.mu.Unlock()
-	bs.wakeWorker()
 }
 
-// SetShardMode moves shard i to m. Producers targeting a non-Enabled shard
-// block until it is re-enabled.
+// terminate moves bs to a terminal mode (modeClosed or modeRetired) and
+// wakes every caller waiting on it.
+func (bs *batchShard) terminate(m Mode) {
+	bs.mu.Lock()
+	bs.mode.Store(int32(m))
+	bs.cond.Broadcast()
+	bs.mu.Unlock()
+}
+
+// SetShardMode moves shard i to m. Operations targeting a non-Enabled
+// shard block until it is re-enabled.
 func (b *Batched) SetShardMode(i int, m Mode) { b.setMode(b.topo.Load().bshards[i], m) }
 
 // ShardMode returns shard i's current mode.
@@ -1056,15 +881,16 @@ func (b *Batched) SetMode(m Mode) {
 	}
 }
 
-// Drain moves every shard to ModeDraining and blocks until each is
-// quiesced (quiesceShard): everything that passed the mode gate before
-// the flip — ring submissions and synchronous calls alike — has executed
-// and been flushed (memctrl.Drain), and nothing executes afterwards.
-// Returns the first flush error. The shards stay Draining — and
-// producers stay blocked — until Resume.
+// Drain moves every shard to ModeDraining, then fences each one
+// (quiesceShard): every operation that took a shard lock before the flip
+// — every synchronous call and Group.Wait that has returned — has
+// executed and been flushed (memctrl.Drain), and nothing executes
+// afterwards. Returns the first flush error. The shards stay Draining —
+// and operations on them wait — until Resume.
 func (b *Batched) Drain() error {
 	bshards := b.topo.Load().bshards
-	// Flip every shard first, so all workers drain concurrently.
+	// Flip every shard first, so traffic stops everywhere before the
+	// first flush runs.
 	for _, bs := range bshards {
 		b.setMode(bs, ModeDraining)
 	}
@@ -1084,7 +910,7 @@ func (b *Batched) DrainShard(i int) error {
 }
 
 // Resume re-enables every shard after a Pause or Drain, unblocking any
-// waiting producers.
+// waiting operations.
 func (b *Batched) Resume() { b.SetMode(ModeEnabled) }
 
 // Quiesced reports whether every shard holds no dirty non-alias LLC lines
@@ -1101,11 +927,12 @@ func (b *Batched) Quiesced() bool {
 	return true
 }
 
-// Close marks every shard closed and waits for the workers to finish
-// whatever is still in the rings. Submissions after Close complete with
-// ErrClosed. Callers should wait out their groups before closing;
-// submissions racing Close may be dropped with ErrClosed. Close waits out
-// any reconfiguration in progress (and fails subsequent ones).
+// Close marks every shard closed, then takes each shard's lock, so an
+// operation already executing finishes before Close returns and none
+// executes afterwards. Operations issued after Close — and window
+// operations still buffered when it is called — fail with ErrClosed.
+// Close waits out any reconfiguration in progress (and fails subsequent
+// ones).
 func (b *Batched) Close() {
 	b.reconfMu.Lock()
 	defer b.reconfMu.Unlock()
@@ -1114,13 +941,11 @@ func (b *Batched) Close() {
 	}
 	b.closed = true
 	for _, bs := range b.topo.Load().bshards {
-		bs.mu.Lock()
-		bs.mode.Store(int32(modeClosed))
-		bs.cond.Broadcast()
-		bs.mu.Unlock()
-		bs.wakeWorker()
+		bs.terminate(modeClosed)
+		// Taking the lock waits out an operation still executing.
+		bs.slot.mu.Lock()
+		bs.slot.mu.Unlock()
 	}
-	b.wg.Wait()
 }
 
 // --- delegation ---------------------------------------------------------
@@ -1150,8 +975,8 @@ func (b *Batched) Ops() uint64 {
 }
 
 // Snapshot merges every shard's telemetry tree and attaches the batch
-// section (ring/batch/drain counters merged across shards; synchronous
-// calls bypass the rings and do not appear there). All hierarchy section
+// section (window-hold and drain counters merged across shards;
+// synchronous calls do not appear there). All hierarchy section
 // fields are monotonic sums (histograms merge bucket-wise) and derived
 // rates are recomputed after the merge, so for the same single-threaded
 // access sequence every hierarchy section is byte-identical to what one
@@ -1229,8 +1054,8 @@ func (b *Batched) SetTracer(t *trace.Tracer) {
 }
 
 // Shard exposes one per-shard controller for diagnostics and tests. The
-// caller owns synchronization: using it while workers are executing is
-// racy — Drain (or Close) the front-end first.
+// caller owns synchronization: using it while other goroutines issue
+// operations is racy — Drain (or Close) the front-end first.
 func (b *Batched) Shard(i int) *memctrl.Controller { return b.topo.Load().bshards[i].slot.ctrl }
 
 // Sharded returns b itself: b's synchronous methods are the lock-per-op

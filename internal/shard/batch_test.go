@@ -14,14 +14,14 @@ import (
 
 // TestBatchedMatchesShardedReplay drives the same single-threaded mixed
 // trace (writes, reads, settles, injections, flushes) through two
-// identical front-ends in lockstep: one takes every access as an inline
+// identical front-ends in lockstep: one takes every access as a
 // synchronous call ("sharded"), the other takes full-block reads and
-// writes as one-op Group windows through the rings ("batched"). Both
-// paths must leave byte-identical results: every read and its error, the
-// decoder verdicts of ReadWithInfo, Settle and InjectBitFlip, the DRAM
-// residency and stored-kind ground truth of every block, the op counter,
-// and the full telemetry snapshot (minus the Batch section, which only
-// counts ring traffic).
+// writes as one-op Group windows ("batched"). Both paths must leave
+// byte-identical results: every read and its error, the decoder verdicts
+// of ReadWithInfo, Settle and InjectBitFlip, the DRAM residency and
+// stored-kind ground truth of every block, the op counter, and the full
+// telemetry snapshot (minus the Batch section, which only counts window
+// holds).
 func TestBatchedMatchesShardedReplay(t *testing.T) {
 	for _, m := range []memctrl.Mode{memctrl.COP, memctrl.COPER} {
 		t.Run(m.String(), func(t *testing.T) {
@@ -92,7 +92,7 @@ func TestBatchedMatchesShardedReplay(t *testing.T) {
 			}
 
 			// Telemetry snapshots must match byte-for-byte once the batch
-			// section, which counts only ring traffic, is removed.
+			// section, which counts only window holds, is removed.
 			snapS, snapB := sh.Snapshot(), ba.Snapshot()
 			if snapB.Batch == nil || snapB.Batch.Enqueued == 0 || snapB.Batch.Batches == 0 {
 				t.Fatalf("batched snapshot is missing batch counters: %+v", snapB.Batch)
@@ -208,6 +208,35 @@ func TestBatchedGroupAsync(t *testing.T) {
 	}
 }
 
+// TestPutGroupDiscardsOpenWindow checks that returning a group to the
+// pool with a window that was never waited on discards the window: the
+// group keeps no operation for its next user to execute and pins none of
+// the caller's buffers.
+func TestPutGroupDiscardsOpenWindow(t *testing.T) {
+	ba := newBatched(t, memctrl.COP)
+	g := ba.NewGroup()
+	dst := make([]byte, BlockBytes)
+	g.Write(0, compressibleData(rand.New(rand.NewSource(5))))
+	g.Read(dst, BlockBytes)
+	ba.PutGroup(g)
+	if n := len(g.txns); n != 0 {
+		t.Fatalf("pooled group carries %d operations", n)
+	}
+	for i, tx := range g.txns[:cap(g.txns)] {
+		if tx.dst != nil {
+			t.Fatalf("pooled group slot %d pins a caller buffer", i)
+		}
+	}
+	// The group's next window must run only what its next user issues.
+	before := ba.Ops()
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ba.Ops() - before; got != 0 {
+		t.Fatalf("empty window executed %d operations", got)
+	}
+}
+
 // TestBatchedConcurrentStress hammers the batched controller from many
 // goroutines through group windows, then checks the exact op count and
 // that a final Drain fences everything.
@@ -224,8 +253,8 @@ func TestBatchedConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(gi)))
 			grp := ba.NewGroup()
-			// One destination buffer per in-flight slot: concurrent reads
-			// in the same window may complete on different shard workers.
+			// One destination buffer per window slot: every read of a
+			// window lands before its Wait returns.
 			dst := make([]byte, 16*BlockBytes)
 			inflight := 0
 			for i := 0; i < opsPerG; i++ {
@@ -267,8 +296,9 @@ func TestBatchedConcurrentStress(t *testing.T) {
 }
 
 // TestBatchedDrainFence checks the drain state machine: Drain quiesces
-// every shard, a producer submitting during the drain blocks until
-// Resume, and the shard modes read back as expected throughout.
+// every shard, synchronous calls and Group windows issued during the
+// drain block until Resume, and the shard modes read back as expected
+// throughout.
 func TestBatchedDrainFence(t *testing.T) {
 	ba := newBatched(t, memctrl.COP)
 	rng := rand.New(rand.NewSource(0xD7A1))
@@ -291,24 +321,34 @@ func TestBatchedDrainFence(t *testing.T) {
 		}
 	}
 
-	// A producer entering now must block until Resume, then complete.
-	done := make(chan error, 1)
+	// Producers entering now — a synchronous write and a one-op Group
+	// window — must block until Resume, then complete.
+	done, groupDone := make(chan error, 1), make(chan error, 1)
 	go func() {
 		done <- ba.Write(0, compressibleData(rand.New(rand.NewSource(1))))
+	}()
+	go func() {
+		g := ba.NewGroup()
+		g.Write(BlockBytes, compressibleData(rand.New(rand.NewSource(2))))
+		groupDone <- g.Wait()
 	}()
 	select {
 	case err := <-done:
 		t.Fatalf("write completed during drain (err=%v)", err)
+	case err := <-groupDone:
+		t.Fatalf("group write completed during drain (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	ba.Resume()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("write after resume: %v", err)
+	for name, ch := range map[string]chan error{"write": done, "group write": groupDone} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s after resume: %v", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked after Resume", name)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("write still blocked after Resume")
 	}
 	for i := 0; i < ba.NumShards(); i++ {
 		if m := ba.ShardMode(i); m != ModeEnabled {
@@ -317,26 +357,36 @@ func TestBatchedDrainFence(t *testing.T) {
 	}
 }
 
-// TestBatchedPauseResume checks that ModePaused holds already-enqueued
-// work unexecuted until the shard is re-enabled.
+// TestBatchedPauseResume checks that ModePaused holds synchronous calls
+// and Group windows unexecuted until the shard is re-enabled.
 func TestBatchedPauseResume(t *testing.T) {
 	ba := newBatched(t, memctrl.COP)
 	if err := ba.Write(0, compressibleData(rand.New(rand.NewSource(7)))); err != nil {
 		t.Fatal(err)
 	}
 	ba.SetMode(ModePaused)
-	done := make(chan error, 1)
+	done, groupDone := make(chan error, 1), make(chan error, 1)
 	go func() {
 		done <- ba.Write(BlockBytes, compressibleData(rand.New(rand.NewSource(8))))
+	}()
+	go func() {
+		g := ba.NewGroup()
+		g.Write(2*BlockBytes, compressibleData(rand.New(rand.NewSource(9))))
+		groupDone <- g.Wait()
 	}()
 	select {
 	case err := <-done:
 		t.Fatalf("write completed while paused (err=%v)", err)
+	case err := <-groupDone:
+		t.Fatalf("group write completed while not enabled (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	ba.Resume()
 	if err := <-done; err != nil {
 		t.Fatalf("write after resume: %v", err)
+	}
+	if err := <-groupDone; err != nil {
+		t.Fatalf("group write after resume: %v", err)
 	}
 }
 
@@ -368,14 +418,13 @@ func TestBatchedDrainShard(t *testing.T) {
 }
 
 // TestDrainFencesInFlightWrites checks the drain fence against writes
-// caught mid-submission, for Drain and for DrainShard + WithShard (the
-// sequence a live migration runs to switch one shard's machinery). Shard
-// 0's worker is stalled behind its own slot lock while goroutines issue
-// one-op Group windows and synchronous Writes at it: the ring fills, the
-// surplus Group writes pass the mode gate and wait for a free cell, and
-// the synchronous writes wait for the lock. The drain then flips the mode
-// and the stall ends. When the drain returns, the shard must be quiesced,
-// and no write may execute on it until it is resumed.
+// caught waiting for the shard, for Drain and for DrainShard + WithShard
+// (the sequence a live migration runs to switch one shard's machinery).
+// Shard 0's slot lock is held while goroutines issue one-op Group windows
+// and synchronous Writes at it, so every one of them queues on that lock.
+// The drain then flips the mode and the hold ends. When the drain
+// returns, the shard must be quiesced, and no write may execute on it
+// until it is resumed.
 func TestDrainFencesInFlightWrites(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -410,7 +459,7 @@ func TestDrainFencesInFlightWrites(t *testing.T) {
 			}()
 			<-held
 
-			const groupWriters, syncWriters = 4 * 32, 8 // 4x the ring size
+			const groupWriters, syncWriters = 32, 8
 			var wg sync.WaitGroup
 			for w := 0; w < groupWriters+syncWriters; w++ {
 				wg.Add(1)
@@ -426,10 +475,10 @@ func TestDrainFencesInFlightWrites(t *testing.T) {
 					}
 				}(w)
 			}
-			for bs.ring.tail.Load() < groupWriters {
+			// Wait until every writer is parked on shard 0's slot lock.
+			for mutexWaiters() < groupWriters+syncWriters {
 				runtime.Gosched()
 			}
-			time.Sleep(time.Millisecond) // let the synchronous writers reach the lock
 
 			done := make(chan error, 1)
 			go func() { done <- tc.drain(ba) }()
@@ -460,6 +509,12 @@ func TestDrainFencesInFlightWrites(t *testing.T) {
 	}
 }
 
+// mutexWaiters counts the goroutines parked in sync.Mutex.Lock.
+func mutexWaiters() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("[sync.Mutex.Lock"))
+}
+
 // TestBatchedCloseRejects checks that submissions after Close fail with
 // ErrClosed instead of deadlocking.
 func TestBatchedCloseRejects(t *testing.T) {
@@ -476,27 +531,14 @@ func TestBatchedCloseRejects(t *testing.T) {
 	}
 }
 
-// TestBatchedConfigValidation pins the BatchedConfig error cases.
+// TestBatchedConfigValidation pins the BatchedConfig error case: a stripe
+// count that is not a power of two.
 func TestBatchedConfigValidation(t *testing.T) {
 	mem := memctrl.Config{Mode: memctrl.COP, LLCBytes: 64 * 1024, LLCWays: 8}
-	for _, tc := range []BatchedConfig{
-		{Shard: Config{Mem: mem}, RingSize: 3},
-		{Shard: Config{Mem: mem}, RingSize: 1},
-		{Shard: Config{Mem: mem}, BatchMax: -1},
-		{Shard: Config{Mem: mem, Shards: 3}},
-	} {
-		if _, err := NewBatchedChecked(tc); err == nil {
-			t.Errorf("config %+v: want error, got nil", tc)
-		}
+	cfg := BatchedConfig{Shard: Config{Mem: mem, Shards: 3}}
+	if _, err := NewBatchedChecked(cfg); err == nil {
+		t.Errorf("config %+v: want error, got nil", cfg)
 	}
-	b, err := NewBatchedChecked(BatchedConfig{Shard: Config{Mem: mem}, RingSize: 16, BatchMax: 64})
-	if err != nil {
-		t.Fatalf("BatchMax clamp: %v", err)
-	}
-	if b.batchMax != 16 {
-		t.Errorf("BatchMax = %d, want clamped to 16", b.batchMax)
-	}
-	b.Close()
 }
 
 // TestBatchedModeString pins the mode names used in logs and errors.
@@ -515,8 +557,8 @@ func TestBatchedModeString(t *testing.T) {
 }
 
 // TestBatchReorderKeepsSameBlockOrder pins the FR-FCFS reorder contract:
-// same-block order is preserved, non-read/write ops act as barriers. The
-// flow field carries each transaction's enqueue sequence number.
+// same-block order is preserved, raw writes act as barriers. The flow
+// field carries each transaction's issue sequence number.
 func TestBatchReorderKeepsSameBlockOrder(t *testing.T) {
 	mk := func(op txnOp, inner, seq uint64) Txn {
 		return Txn{op: op, inner: inner, flow: seq}
@@ -526,7 +568,7 @@ func TestBatchReorderKeepsSameBlockOrder(t *testing.T) {
 		mk(opRead, 3*row, 0),
 		mk(opWrite, 0, 1),
 		mk(opRead, 0, 2),
-		mk(opFlush, 5*row, 3), // barrier
+		mk(opWriteRaw, 5*row, 3), // barrier
 		mk(opWrite, 4*row, 4),
 		mk(opRead, 2*row, 5),
 	}
@@ -534,7 +576,7 @@ func TestBatchReorderKeepsSameBlockOrder(t *testing.T) {
 	for i := range txns {
 		batch[i] = &txns[i]
 	}
-	newRowSorter(len(batch)).reorder(batch)
+	new(rowSorter).reorder(batch)
 	// First run sorts to rows {0,0,3}; same-block pair (1 then 2) stays
 	// ordered. Barrier stays put. Second run sorts to rows {2,4}.
 	wantSeq := []uint64{1, 2, 0, 3, 5, 4}
@@ -565,7 +607,7 @@ func TestBatchReorderScatteredRows(t *testing.T) {
 	for i := range txns {
 		batch[i] = &txns[i]
 	}
-	newRowSorter(n).reorder(batch)
+	new(rowSorter).reorder(batch)
 	for i := 1; i < n; i++ {
 		prev, cur := batch[i-1].inner>>batchRowShift, batch[i].inner>>batchRowShift
 		if prev > cur {
@@ -574,44 +616,5 @@ func TestBatchReorderScatteredRows(t *testing.T) {
 		if prev == cur && batch[i-1].flow > batch[i].flow {
 			t.Fatalf("stability broken at %d: seq %d before %d", i, batch[i-1].flow, batch[i].flow)
 		}
-	}
-}
-
-// TestTxnRing pins the MPSC ring's ordering and backpressure behavior.
-func TestTxnRing(t *testing.T) {
-	r := newTxnRing(8)
-	const producers = 4
-	const perProducer = 1000
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				c, pos := r.reserve()
-				c.txn.addr = uint64(p)
-				c.txn.inner = uint64(i)
-				r.publish(c, pos)
-			}
-		}(p)
-	}
-	seen := make([]uint64, producers)
-	total := 0
-	var batch []*Txn
-	for total < producers*perProducer {
-		batch = r.peek(batch[:0], 8)
-		for _, tx := range batch {
-			p, seq := tx.addr, tx.inner
-			if seq != seen[p] {
-				t.Fatalf("producer %d: got seq %d, want %d (per-producer FIFO broken)", p, seq, seen[p])
-			}
-			seen[p]++
-			total++
-		}
-		r.release(len(batch))
-	}
-	wg.Wait()
-	if !r.empty() {
-		t.Fatal("ring not empty after draining")
 	}
 }

@@ -14,9 +14,8 @@ import (
 // TestOpsCountsPerMethod pins the Ops() counted set documented on
 // Batched.Ops: every state-affecting access counts (per covered block for
 // range ops), pure queries and maintenance sweeps do not. The subtests
-// split the two execution paths: "sharded" runs the synchronous calls,
-// which execute inline under the shard lock, and "batched" sends Group
-// windows and Flush through the rings.
+// split the two ways in: "sharded" runs the synchronous calls, each
+// under the shard lock, and "batched" runs Group windows.
 func TestOpsCountsPerMethod(t *testing.T) {
 	block := make([]byte, BlockBytes)
 	dst := make([]byte, BlockBytes)
@@ -61,6 +60,8 @@ func TestOpsCountsPerMethod(t *testing.T) {
 			// Pure queries are not counted.
 			{"StoredKind", 0, func(c *Batched) { _ = c.StoredKind(0) }},
 			{"InDRAM", 0, func(c *Batched) { _ = c.InDRAM(0) }},
+			// Maintenance sweeps are not counted.
+			{"Flush", 0, func(c *Batched) { _ = c.Flush() }},
 		})
 	})
 	t.Run("batched", func(t *testing.T) {
@@ -84,17 +85,15 @@ func TestOpsCountsPerMethod(t *testing.T) {
 				g.Read(dst, BlockBytes)
 				g.Write(2*BlockBytes, block)
 			})},
-			// Maintenance sweeps are not counted.
-			{"Flush", 0, func(c *Batched) { _ = c.Flush() }},
 		})
 	})
 }
 
 // TestSetTracerUnderTraffic attaches and detaches a tracer while
 // concurrent goroutines hammer the front-end — the /trace/start-style
-// runtime toggle. "sharded" drives synchronous calls (inline, under the
-// shard locks), "batched" drives Group windows (the shard workers). Run
-// under -race this pins the SetTracer handle swap to the shard locks.
+// runtime toggle. "sharded" drives synchronous calls and "batched" drives
+// Group windows, both under the shard locks. Run under -race this pins
+// the SetTracer handle swap to the shard locks.
 func TestSetTracerUnderTraffic(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
 		c := newBatched(t, memctrl.COP)

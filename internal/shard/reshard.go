@@ -28,7 +28,6 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"cop/internal/core"
@@ -72,27 +71,14 @@ func (b *Batched) reshardLocked(newN int) error {
 	defer b.migTel.Active.Add(-1)
 
 	// Build every target shard up front: fresh controllers sized for the
-	// new stripe count, Enabled, workers running, rings empty. They serve
-	// nothing until their family's cutover routes stripes at them. Handle
-	// index reuse with a still-live old shard is benign: the old shard is
-	// quiesced (recording nothing) before its replacement sees traffic.
-	newShards := b.startShards(scfg)
+	// new stripe count, Enabled. They serve nothing until their family's
+	// cutover routes stripes at them, and an aborted reshard simply drops
+	// the ones that were never routed. Handle index reuse with a
+	// still-live old shard is benign: the old shard is quiesced (recording
+	// nothing) before its replacement sees traffic.
+	newShards := b.buildShards(scfg)
 	newLogN := log2(newN)
 	newMask := uint64(newN - 1)
-	// closeNew shuts down the not-yet-routed targets on abort (families
-	// from and up never cut over; new shard i belongs to family i%minN).
-	closeNew := func(from int) {
-		for i, bs := range newShards {
-			if i%minN < from {
-				continue
-			}
-			bs.mu.Lock()
-			bs.mode.Store(int32(modeClosed))
-			bs.cond.Broadcast()
-			bs.mu.Unlock()
-			bs.wakeWorker()
-		}
-	}
 
 	// Transitional route table: size maxN, every stripe still owned by
 	// its current shard (for a grow, entry j aliases old entry j&oldMask —
@@ -129,7 +115,6 @@ func (b *Batched) reshardLocked(newN int) error {
 			for _, s := range srcs {
 				b.setMode(s, ModeEnabled)
 			}
-			closeNew(f)
 			return fmt.Errorf("shard: reshard %s (family %d): %w", stage, f, err)
 		}
 		for _, src := range srcs {
@@ -189,46 +174,27 @@ func distinctShards(entries []routeEntry) []*batchShard {
 	return out
 }
 
-// quiesceShard fences one shard completely: Draining mode, the drain
-// fence, then every producer holding an inflight claim and everything
-// already published is waited out, and a final drain under the slot lock
-// catches stragglers that raced the fence. On nil return the shard cannot
-// execute another operation until re-enabled: ring producers that raised
-// inflight before the mode flip have published and been consumed (the
-// ring is drained), later ones observe a non-Enabled mode and park, and
-// synchronous calls check the mode under the slot lock this final drain
-// takes. Drain, DrainShard and Reshard all fence through here. A shard
-// closed meanwhile is not waited on: its worker may be gone.
+// quiesceShard fences one shard: flip it to Draining, then take its slot
+// lock and flush it (memctrl.Drain). Synchronous calls and window holds
+// check the mode under that same lock, so each either ran before the
+// flush or observes the flip and waits; on return the shard cannot
+// execute another operation until re-enabled. Drain, DrainShard and
+// Reshard all fence through here.
 func (b *Batched) quiesceShard(bs *batchShard) error {
 	b.setMode(bs, ModeDraining)
-	bs.mu.Lock()
-	for !bs.fenced && Mode(bs.mode.Load()) == ModeDraining {
-		bs.cond.Wait()
-	}
-	err := bs.drainErr
-	bs.mu.Unlock()
-	for (bs.inflight.Load() != 0 || !bs.ring.empty()) && Mode(bs.mode.Load()) != modeClosed {
-		bs.wakeWorker()
-		runtime.Gosched()
-	}
-	bs.slot.mu.Lock()
-	derr := bs.slot.ctrl.Drain()
-	bs.slot.mu.Unlock()
-	if err == nil {
-		err = derr
-	}
+	s := bs.slot
+	s.mu.Lock()
+	err := s.ctrl.Drain()
+	s.mu.Unlock()
+	bs.tel.Drains.Inc()
 	return err
 }
 
 // retireShard moves a quiesced, already-unrouted shard to its terminal
-// state, wakes producers parked on it so they re-resolve the topology,
+// state, wakes callers waiting on it so they re-resolve the topology,
 // and folds its final counters into the retired accumulators.
 func (b *Batched) retireShard(bs *batchShard) {
-	bs.mu.Lock()
-	bs.mode.Store(int32(modeRetired))
-	bs.cond.Broadcast()
-	bs.mu.Unlock()
-	bs.wakeWorker()
+	bs.terminate(modeRetired)
 	b.retiredOps.Add(bs.slot.ops.Load())
 	snap := bs.slot.ctrl.Snapshot()
 	b.retiredMu.Lock()
@@ -246,11 +212,12 @@ func (b *Batched) retireShard(bs *batchShard) {
 // among the target shards: decode with src's machinery, write the
 // plaintext into the target, which re-encodes under its own scheme on
 // writeback. The writes go through the targets' controllers directly —
-// not their rings — so they count as no operations (Ops equivalence with
-// an offline replay) and need only the targets' slot locks. Blocks with
-// neither a DRAM image nor a dirty LLC line are untouched zero-fill and
-// are deliberately not moved (materializing images for never-written
-// blocks would diverge from a replay).
+// not the shard slots' per-block sequences — so they count as no
+// operations (Ops equivalence with an offline replay) and need only the
+// targets' slot locks. Blocks with neither a DRAM image nor a dirty LLC
+// line are untouched zero-fill and are deliberately not moved
+// (materializing images for never-written blocks would diverge from a
+// replay).
 func (b *Batched) moveBlocks(src *batchShard, targets []*batchShard, tlogN uint, tmask uint64) error {
 	s := src.slot
 	s.mu.Lock()
@@ -302,8 +269,8 @@ func (b *Batched) Reconfigure(fn func() error) error {
 }
 
 // WithShard runs fn on shard i's controller under the shard lock,
-// serialized against the shard's worker. The index resolves against the
-// topology current at call time.
+// serialized against every other operation on the shard. The index
+// resolves against the topology current at call time.
 func (b *Batched) WithShard(i int, fn func(*memctrl.Controller) error) error {
 	topo := b.topo.Load()
 	if i < 0 || i >= len(topo.bshards) {

@@ -21,8 +21,10 @@ type reshardOp struct {
 }
 
 // TestReshardEquivalence splits 4->8 and merges 8->4 stripes while eight
-// workers drive recorded traffic over disjoint block ranges, then replays
-// the identical per-worker op logs single-threaded on a fresh memory built
+// workers drive recorded traffic over disjoint block ranges — odd workers
+// through synchronous calls, even workers through one-op Group windows,
+// which must be re-routed off retired shards — then replays the
+// identical per-worker op logs single-threaded on a fresh memory built
 // directly at the target shape. The final DRAM images must be
 // byte-identical and Ops() must match exactly — stripe moves are not ops.
 func TestReshardEquivalence(t *testing.T) {
@@ -70,9 +72,7 @@ func TestReshardEquivalence(t *testing.T) {
 			addrOf := func(w, idx int) uint64 { return uint64(w*perWorker+idx) * BlockBytes }
 			build := func(n int) *Batched {
 				return NewBatched(BatchedConfig{
-					Shard:    Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: n},
-					RingSize: 32,
-					BatchMax: 8,
+					Shard: Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: n},
 				})
 			}
 
@@ -102,17 +102,30 @@ func TestReshardEquivalence(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					write, read := live.Write, live.Read
+					if w%2 == 0 {
+						g := live.NewGroup()
+						write = func(a uint64, data []byte) error {
+							g.Write(a, data)
+							return g.Wait()
+						}
+						read = func(a uint64) ([]byte, error) {
+							got := make([]byte, BlockBytes)
+							g.Read(got, a)
+							return got, g.Wait()
+						}
+					}
 					<-gate
 					for _, op := range logs[w] {
 						a := addrOf(w, op.idx)
 						if op.write {
-							if err := live.Write(a, content(w, op.idx, op.ver)); err != nil {
+							if err := write(a, content(w, op.idx, op.ver)); err != nil {
 								werrs <- fmt.Errorf("worker %d write %#x: %w", w, a, err)
 								return
 							}
 							continue
 						}
-						got, err := live.Read(a)
+						got, err := read(a)
 						if err != nil {
 							werrs <- fmt.Errorf("worker %d read %#x: %w", w, a, err)
 							return
@@ -192,9 +205,7 @@ func TestReshardEquivalence(t *testing.T) {
 func TestReshardRoundTripByteIdentical(t *testing.T) {
 	build := func() *Batched {
 		return NewBatched(BatchedConfig{
-			Shard:    Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4},
-			RingSize: 32,
-			BatchMax: 8,
+			Shard: Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4},
 		})
 	}
 	a, b := build(), build()
@@ -245,9 +256,7 @@ func TestReshardRoundTripByteIdentical(t *testing.T) {
 // closed front-end refuses outright.
 func TestReshardRejects(t *testing.T) {
 	m := NewBatched(BatchedConfig{
-		Shard:    Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4},
-		RingSize: 32,
-		BatchMax: 8,
+		Shard: Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4},
 	})
 	data := make([]byte, BlockBytes)
 	data[0] = 0xAB

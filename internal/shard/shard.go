@@ -4,7 +4,9 @@
 // mutex, so goroutines touching different shards never contend. It is the
 // substrate for parallel fault-injection campaigns, multi-client traffic
 // over one logical memory image, live reconfiguration, and the networked
-// service.
+// service. Every operation executes on the goroutine that issues it —
+// synchronous calls at once, Group windows when their owner calls Wait —
+// so the package runs no goroutines of its own.
 //
 // Striping is set-index compatible: the shard index is taken from the
 // block-address bits directly above the block offset, and those bits are
@@ -20,13 +22,13 @@
 // independent, exactly as in real multi-channel memory controllers.
 // Multi-block calls (ReadBytes/WriteBytes/Flush) are not atomic across
 // shard boundaries: concurrent writers to the same byte range can
-// interleave per block. Within a batch dequeued from a shard's ring,
-// accesses to *different* blocks may be reordered for DRAM row locality
-// (FR-FCFS style), while accesses to the same block always execute in
-// enqueue order. A caller that needs cross-block ordering must wait for
-// the earlier operation's Group before issuing the later one — exactly
-// the fence a real memory controller requires. A Drain fences every
-// operation: none executes after it returns until the shard is resumed.
+// interleave per block. Within one Group window, accesses to *different*
+// blocks may be reordered for DRAM row locality (FR-FCFS style), while
+// accesses to the same block always execute in issue order. A caller that
+// needs cross-block ordering must wait for the earlier operation's Group
+// before issuing the later one — exactly the fence a real memory
+// controller requires. A Drain fences every operation: none executes
+// after it returns until the shard is resumed.
 package shard
 
 import (
@@ -123,10 +125,9 @@ func (s *shardSlot) traceRoute(outer, inner uint64, f trace.Flags, flow uint64) 
 }
 
 // The per-block access sequences — op count, route record, controller
-// call — exist once, here: the shard worker runs them for ring
-// transactions (execOne) and synchronous calls run them inline on the
-// caller's goroutine. outer is the caller's address, inner the
-// shard-local one. Each must be called with s.mu held.
+// call — exist once, here: Group windows run them at Wait (execOne) and
+// synchronous calls run them directly. outer is the caller's address,
+// inner the shard-local one. Each must be called with s.mu held.
 
 // read loads the block at inner into dst (at least BlockBytes long).
 func (s *shardSlot) read(dst []byte, outer, inner, flow uint64) (memctrl.ReadInfo, error) {

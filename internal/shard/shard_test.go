@@ -30,13 +30,11 @@ func randomData(rng *rand.Rand) []byte {
 }
 
 // newBatched builds a 4-shard front-end whose aggregate LLC matches
-// newUnsharded's, small enough that evictions happen fast, with a small
-// ring so full-ring backpressure gets exercised. The test closes it.
+// newUnsharded's, small enough that evictions happen fast. The test
+// closes it.
 func newBatched(t testing.TB, m memctrl.Mode) *Batched {
 	b := NewBatched(BatchedConfig{
-		Shard:    Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4},
-		RingSize: 32,
-		BatchMax: 8,
+		Shard: Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4},
 	})
 	t.Cleanup(b.Close)
 	return b
@@ -104,17 +102,16 @@ func TestShardCountNormalization(t *testing.T) {
 
 // TestShardedMatchesUnshardedReplay replays one deterministic trace through
 // a plain memctrl.Controller and the sharded front-end and requires
-// identical functional results. Accesses alternate between the two
-// execution paths — synchronous calls run inline, one-op Group windows go
-// through the rings — so both are held to the same reference: every read
-// returns the same bytes and decoder verdict (ReadWithInfo), Settle and
-// InjectBitFlip agree, injected faults get the same corrected/
-// uncorrectable classification, every block's DRAM residency and stored
-// kind match, Ops counts every access, and the snapshot JSON is
-// byte-identical (minus the Batch section; minus the ECC region section
-// for COP-ER, whose per-shard regions lay out entries differently). The
-// set-index-compatible striping makes even hit/miss/eviction behavior
-// line up exactly.
+// identical functional results. Accesses alternate between the two ways
+// in — synchronous calls and one-op Group windows — so both are held to
+// the same reference: every read returns the same bytes and decoder
+// verdict (ReadWithInfo), Settle and InjectBitFlip agree, injected faults
+// get the same corrected/uncorrectable classification, every block's DRAM
+// residency and stored kind match, Ops counts every access, and the
+// snapshot JSON is byte-identical (minus the Batch section; minus the ECC
+// region section for COP-ER, whose per-shard regions lay out entries
+// differently). The set-index-compatible striping makes even
+// hit/miss/eviction behavior line up exactly.
 func TestShardedMatchesUnshardedReplay(t *testing.T) {
 	for _, m := range []memctrl.Mode{memctrl.COP, memctrl.COPER} {
 		t.Run(m.String(), func(t *testing.T) {

@@ -315,13 +315,13 @@ func (p *promWriter) writeAll() {
 		return s.DRAM.QueueDelay, true
 	})
 
-	p.counter("batch_enqueued", "transactions accepted into shard request rings", func(s *Snapshot) (uint64, bool) {
+	p.counter("batch_enqueued", "group-window operations executed", func(s *Snapshot) (uint64, bool) {
 		if s.Batch == nil {
 			return 0, false
 		}
 		return s.Batch.Enqueued, true
 	})
-	p.counter("batch_batches", "worker dequeue rounds executed", func(s *Snapshot) (uint64, bool) {
+	p.counter("batch_batches", "shard-lock holds that executed window operations", func(s *Snapshot) (uint64, bool) {
 		if s.Batch == nil {
 			return 0, false
 		}
@@ -333,13 +333,13 @@ func (p *promWriter) writeAll() {
 		}
 		return s.Batch.Drains, true
 	})
-	p.gauge("batch_max_depth", "largest batch ever executed", func(s *Snapshot) (float64, bool) {
+	p.gauge("batch_max_depth", "largest window hold ever executed", func(s *Snapshot) (float64, bool) {
 		if s.Batch == nil {
 			return 0, false
 		}
 		return float64(s.Batch.MaxDepth), true
 	})
-	p.histogram("batch_depth", "per-batch transaction count", func(s *Snapshot) (HistogramSnapshot, bool) {
+	p.histogram("batch_depth", "window operations per shard-lock hold", func(s *Snapshot) (HistogramSnapshot, bool) {
 		if s.Batch == nil {
 			return HistogramSnapshot{}, false
 		}

@@ -271,19 +271,21 @@ func (c *DRAMCounters) Snapshot() DRAMStats {
 	}
 }
 
-// BatchStats is the sharded front-end's ring section (per-shard request
-// rings, merged across shards). It counts only what crosses the rings —
-// group windows, flushes and drains; synchronous calls run inline and do
-// not appear. An unsharded controller omits it.
+// BatchStats is the sharded front-end's window section (merged across
+// shards). It counts group-window execution and drain fences; synchronous
+// calls take the shard lock per access and do not appear. An unsharded
+// controller omits it.
 type BatchStats struct {
-	// Enqueued counts transactions accepted into a ring; Batches counts
-	// worker dequeue rounds (one lock acquisition each).
+	// Enqueued counts window operations executed; Batches counts the
+	// shard-lock holds they ran under (a window takes each touched
+	// shard's lock once per up to 64 operations).
 	Enqueued uint64 `json:"enqueued"`
 	Batches  uint64 `json:"batches"`
-	// Drains counts completed shard drain fences (ring emptied + flushed).
+	// Drains counts completed shard drain fences (mode flipped, then
+	// flushed under the shard lock).
 	Drains uint64 `json:"drains"`
-	// MaxDepth is the largest batch ever executed; Depth is the per-batch
-	// depth distribution (its Mean is the lock-amortization factor).
+	// MaxDepth is the largest hold ever executed; Depth is the per-hold
+	// operation count (its Mean is the lock-amortization factor).
 	MaxDepth uint64            `json:"max_depth"`
 	Depth    HistogramSnapshot `json:"depth"`
 }
@@ -458,9 +460,10 @@ func mergeNamed(dst *[]NamedHistogram, src []NamedHistogram) {
 }
 
 // ServeStats is the serve-datapath latency section: wall-clock frame
-// latency, its per-stage decomposition (read/parse, ring wait, window
-// execution, result encode, response write), per-op-kind latency, and the
-// slow-frame count. All values are nanoseconds in power-of-two buckets.
+// latency, its per-stage decomposition (read/parse, window buffering
+// ("ring-wait"), window execution, result encode, response write),
+// per-op-kind latency, and the slow-frame count. All values are
+// nanoseconds in power-of-two buckets.
 // Present only on snapshots produced by a network server.
 type ServeStats struct {
 	// Frame is the end-to-end wall-clock distribution per request frame

@@ -340,8 +340,8 @@ type ServeStage uint8
 const (
 	StageRead     ServeStage = iota // request body read
 	StageParse                      // frame header + op decode
-	StageRingWait                   // window submission into shard rings
-	StageWindow                     // window/barrier execution (Group.Wait)
+	StageRingWait                   // buffering a window's ops into its group
+	StageWindow                     // window/barrier execution (Group.Wait: shard-lock waits + execution)
 	StageEncode                     // response frame encode
 	StageWrite                      // response write to the client
 	NumServeStages

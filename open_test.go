@@ -80,7 +80,6 @@ func TestOpenBatched(t *testing.T) {
 	st, err := cop.Open(
 		cop.WithMode(cop.ModeCOPER),
 		cop.WithShards(2),
-		cop.WithBatching(128, 32),
 		cop.WithConcurrent(),
 		cop.WithLLC(64*1024, 8),
 	)
@@ -126,9 +125,6 @@ func TestOpenErrors(t *testing.T) {
 	// Bad shard geometry errors instead of panicking.
 	if _, err := cop.Open(cop.WithShards(3)); err == nil {
 		t.Error("non-power-of-two shard count accepted")
-	}
-	if _, err := cop.Open(cop.WithBatching(3, 0)); err == nil {
-		t.Error("non-power-of-two ring size accepted")
 	}
 }
 

@@ -3,10 +3,11 @@
 # paths: the sharded memory front-end's synchronous Read/Write, which run
 # inline on the caller's goroutine under the shard lock
 # (BenchmarkShardedThroughput, telemetry always on), the same traffic
-# through per-shard request rings and group windows
-# (BenchmarkBatchedThroughput), the same windowed traffic with the patrol
-# scrubber active (BenchmarkMigrationOverhead — its baseline line equals
-# batched-8g's, so the tolerance directly bounds the scrubbing overhead),
+# through group windows, which execute on the waiting goroutine with one
+# shard-lock hold per touched shard (BenchmarkBatchedThroughput/batched-8g),
+# the same windowed traffic with the patrol scrubber active
+# (BenchmarkMigrationOverhead — its baseline line equals batched-8g's, so
+# the tolerance directly bounds the scrubbing overhead),
 # and the codec datapath (BenchmarkEncode / BenchmarkDecode for the COP-4
 # and COP-8 geometries, the word-parallel encode/decode the whole
 # simulator sits on), plus the networked service datapath
@@ -16,6 +17,10 @@
 # Primary comparison is self-calibrating: the same benchmarks are built and
 # run from the merge-base commit in a temporary git worktree on the SAME
 # machine, so CI-runner speed differences cancel out ("before/after").
+# Both sides build with -trimpath: HEAD builds in the checkout and the
+# base in a mktemp directory, and without it the two binaries embed
+# source paths of different lengths, which shifts code layout enough to
+# move byte-identical code by 16-28% on a small machine.
 # When no merge-base is available (shallow clone, first commit), or the
 # base predates a benchmark, the committed reference number in
 # scripts/benchsmoke.baseline is used for that benchmark instead; those
@@ -46,7 +51,7 @@ SERVE_KEYS="ServeThroughput/serve-8g ServeThroughput/serve-pipelined-8g"
 
 # bench_out DIR PKG PATTERN — run the benchmarks, print raw output.
 bench_out() {
-    (cd "$1" && go test -run '^$' -bench "$3" -benchtime "$BENCHTIME" -count "$COUNT" "$2" 2>/dev/null) || true
+    (cd "$1" && go test -trimpath -run '^$' -bench "$3" -benchtime "$BENCHTIME" -count "$COUNT" "$2" 2>/dev/null) || true
 }
 
 # best FILE KEY — best (minimum) ns/op for KEY over all repetitions. The
