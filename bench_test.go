@@ -562,7 +562,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		}
 	})
 	runSharded := func(b *testing.B, cfg cop.MemoryConfig) {
-		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{Shard: cop.ShardedMemoryConfig{Mem: cfg, Shards: goroutines}})
+		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{Mem: cfg, Shards: goroutines})
 		defer m.Close()
 		b.SetBytes(cop.BlockBytes)
 		var wg sync.WaitGroup
@@ -612,9 +612,7 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 	blocks := shardedTrafficBlocks(footprint)
 
 	run := func(b *testing.B, goroutines int) {
-		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
-			Shard: cop.ShardedMemoryConfig{Mem: memCfg, Shards: shards},
-		})
+		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{Mem: memCfg, Shards: shards})
 		defer m.Close()
 		b.SetBytes(cop.BlockBytes)
 		var wg sync.WaitGroup
@@ -673,9 +671,7 @@ func BenchmarkMigrationOverhead(b *testing.B) {
 	blocks := shardedTrafficBlocks(footprint)
 
 	b.Run("scrub-8g", func(b *testing.B) {
-		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{
-			Shard: cop.ShardedMemoryConfig{Mem: memCfg, Shards: goroutines},
-		})
+		m := cop.NewBatchedMemory(cop.BatchedMemoryConfig{Mem: memCfg, Shards: goroutines})
 		defer m.Close()
 		scrub := cop.NewScrubber(m, cop.ScrubOptions{}) // default 1ms patrol
 		scrub.Start()

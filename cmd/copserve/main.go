@@ -21,10 +21,9 @@
 //	copserve -scrub 50ms                        # patrol scrubber per tenant
 //	copserve -trace -slow-threshold 5ms -slow-freeze  # tail-latency black box
 //
-// Endpoints: POST /v1/tenants/{t}/batch (binary frames), GET|PUT
-// /v1/tenants/{t}/block/{addr}, POST .../flush, GET .../snapshot, admin
-// under /admin/tenants, probes /healthz + /readyz, telemetry /metrics +
-// /snapshot + /debug/*.
+// Endpoints: POST /v1/tenants/{t}/batch (binary frames — the only data
+// path), admin under /admin/tenants, probes /healthz + /readyz, telemetry
+// /metrics + /snapshot (?tenant= for one namespace) + /debug/*.
 package main
 
 import (
@@ -111,13 +110,12 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 			return err
 		}
 		if *scrubEach > 0 {
-			b := t.Batched()
-			sc := migrate.NewScrubber(b, migrate.ScrubOptions{Interval: *scrubEach})
-			sc.Start()
-			defer sc.Stop()
+			if err := t.StartScrub(migrate.ScrubOptions{Interval: *scrubEach}); err != nil {
+				return err
+			}
 		}
 		fmt.Fprintf(stdout, "copserve: tenant %q scheme=%s shards=%d\n",
-			name, t.Store().Snapshot().Scheme, t.Batched().NumShards())
+			name, t.Batched().Mode(), t.Batched().NumShards())
 	}
 
 	handler := srv.Handler()

@@ -231,18 +231,14 @@ func TelemetryHandlerWithTrace(src TelemetrySource, tr *Tracer) http.Handler {
 // fenced, flushed state). Close rejects every later operation.
 type BatchedMemory = shard.Batched
 
-// ShardedMemoryConfig is the stripe layout embedded in
-// BatchedMemoryConfig: a full MemoryConfig as Mem — there is one config
-// vocabulary for every memory front-end — plus the shard count. The LLC
-// rule is documented once, on shard.Config: Mem.LLCBytes is the TOTAL
-// capacity, each shard gets LLCBytes/Shards, and an explicit Shards must
-// be a power of two no larger than the LLC set count (zero means auto).
-// Invalid combinations are errors from Open, never silently rounded.
-type ShardedMemoryConfig = shard.Config
-
-// BatchedMemoryConfig parameterizes NewBatchedMemory: the embedded
-// ShardedMemoryConfig.
-type BatchedMemoryConfig = shard.BatchedConfig
+// BatchedMemoryConfig parameterizes NewBatchedMemory: a full MemoryConfig
+// as Mem — there is one config vocabulary for every memory front-end —
+// plus the shard count. The LLC rule is documented once, on shard.Config:
+// Mem.LLCBytes is the TOTAL capacity, each shard gets LLCBytes/Shards,
+// and an explicit Shards must be a power of two no larger than the LLC
+// set count (zero means auto). Invalid combinations are errors from Open,
+// never silently rounded.
+type BatchedMemoryConfig = shard.Config
 
 // BatchGroup tracks a window of asynchronous batched operations; see
 // BatchedMemory.NewGroup.
@@ -354,9 +350,7 @@ func Open(opts ...Option) (Store, error) {
 	)
 	switch {
 	case c.concurrent:
-		st, err = shard.NewBatchedChecked(shard.BatchedConfig{
-			Shard: shard.Config{Mem: c.mem, Shards: c.shards},
-		})
+		st, err = shard.NewBatchedChecked(shard.Config{Mem: c.mem, Shards: c.shards})
 	default:
 		if c.requireCon {
 			return nil, fmt.Errorf("cop: WithConcurrent requires WithShards (a plain Memory is single-goroutine)")

@@ -11,25 +11,7 @@ package copnet
 import (
 	"math/rand"
 	"testing"
-
-	"cop/internal/memctrl"
-	"cop/internal/telemetry"
 )
-
-// fixedStore is a minimal synchronous Store whose operations touch no
-// heap, isolating the frame path's own allocation behavior.
-type fixedStore struct {
-	block [BlockBytes]byte
-}
-
-func (f *fixedStore) ReadInto(dst []byte, addr uint64) (memctrl.ReadInfo, error) {
-	copy(dst, f.block[:])
-	return memctrl.ReadInfo{LLCHit: true}, nil
-}
-
-func (f *fixedStore) Write(addr uint64, data []byte) error { copy(f.block[:], data); return nil }
-func (f *fixedStore) Flush() error                         { return nil }
-func (f *fixedStore) Snapshot() telemetry.Snapshot         { return telemetry.Snapshot{} }
 
 func TestWireZeroAlloc(t *testing.T) {
 	const window = 64
@@ -63,31 +45,20 @@ func TestWireZeroAlloc(t *testing.T) {
 		t.Fatalf("setup: decode: %v", decodeErr)
 	}
 
-	// Server execute: run the frame against a store through the shared
-	// scratch — results, payload arena, and response buffer all reused.
-	tenant := &Tenant{name: "alloc", store: &fixedStore{}}
-	var resp []byte
-	exec := func() { resp = tenant.execBatch(sc) }
-	exec()
-
-	// Server execute, windowed: the same frame through a real batched
-	// tenant, so the ops ride execWindowed's Group window. The frame
-	// touches 64 blocks, which stay LLC-resident after the first run, so
-	// the memory hierarchy underneath allocates nothing either.
+	// Server execute: run the frame against a real batched tenant through
+	// the shared scratch — results, payload arena, response buffer, and
+	// the pooled Group's window all reused. The frame touches 64 blocks,
+	// which stay LLC-resident after the first run, so the memory
+	// hierarchy underneath allocates nothing either.
 	bm, err := TenantConfig{Scheme: "cop", Shards: 2, LLCBytes: 64 * 1024, LLCWays: 8}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bm.Close()
-	windowed := &Tenant{name: "alloc-windowed", store: bm, batched: bm}
-	wsc := &frameScratch{}
-	wsc.ops, wsc.traceID, decodeErr = decodeRequestInto(nil, batch.buf)
-	if decodeErr != nil {
-		t.Fatalf("setup: decode: %v", decodeErr)
-	}
-	var wresp []byte
-	execWindowed := func() { wresp = windowed.execBatch(wsc) }
-	execWindowed()
+	tenant := &Tenant{name: "alloc", batched: bm}
+	var resp []byte
+	exec := func() { resp = tenant.execBatch(sc) }
+	exec()
 
 	// Client parse: decode the response frame into a reused result table
 	// (payloads alias the response buffer; nothing is copied).
@@ -114,8 +85,7 @@ func TestWireZeroAlloc(t *testing.T) {
 	}{
 		{"Batch/fill", fill, false},
 		{"decodeRequestInto", decode, false},
-		{"execBatch", exec, false},
-		{"execBatch/windowed", execWindowed, true},
+		{"execBatch", exec, true},
 		{"parseResults", parse, false},
 	}
 	for _, c := range cases {
@@ -130,13 +100,9 @@ func TestWireZeroAlloc(t *testing.T) {
 	if decodeErr != nil || parseErr != nil {
 		t.Fatalf("measured runs failed: decode=%v parse=%v", decodeErr, parseErr)
 	}
-	wres, err := parseResults(wresp, batch.kinds, nil)
-	if err != nil {
-		t.Fatalf("windowed response: %v", err)
-	}
-	for i, r := range wres {
+	for i, r := range results {
 		if r.Err != nil {
-			t.Fatalf("windowed op %d failed: %v", i, r.Err)
+			t.Fatalf("measured op %d failed: %v", i, r.Err)
 		}
 	}
 }

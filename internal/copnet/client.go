@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -263,9 +264,10 @@ type Batch struct {
 }
 
 // Result is one operation's outcome. Data aliases the response buffer
-// (valid until the next Do on a reused batch); Info is populated for
-// sequential-store reads and zero for windowed reads; Flag carries
-// StoredKind values and inject hit/miss.
+// (valid until the next Do on a reused batch); Info is a read's decoder
+// verdict — the memctrl.ReadInfo the server's window filled for it — and
+// zero for every other op; Flag carries StoredKind values and inject
+// hit/miss.
 type Result struct {
 	Err  error
 	Info memctrl.ReadInfo
@@ -619,12 +621,12 @@ func (c *Client) WriteBytes(addr uint64, data []byte) error {
 	return r.Err
 }
 
-// Snapshot fetches the tenant's telemetry tree. Errors yield a zero
-// snapshot — Store.Snapshot carries no error, and telemetry must never
-// fail the datapath.
+// Snapshot fetches the tenant's telemetry tree from /snapshot?tenant=.
+// Errors yield a zero snapshot — Store.Snapshot carries no error, and
+// telemetry must never fail the datapath.
 func (c *Client) Snapshot() telemetry.Snapshot {
 	var snap telemetry.Snapshot
-	body, err := c.do(http.MethodGet, c.tenantURL("/snapshot"), "", nil)
+	body, err := c.do(http.MethodGet, c.url("/snapshot?tenant="+url.QueryEscape(c.tenant)), "", nil)
 	if err != nil {
 		return snap
 	}

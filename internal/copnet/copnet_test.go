@@ -23,6 +23,7 @@ import (
 
 	"cop/internal/cli"
 	"cop/internal/faultsim"
+	"cop/internal/migrate"
 	"cop/internal/reliability"
 	"cop/internal/workload"
 )
@@ -194,37 +195,6 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockEndpoints exercises the single-block REST surface (curl's view
-// of the service).
-func TestBlockEndpoints(t *testing.T) {
-	_, hs := testServer(t)
-	data := block(7)
-	url := hs.URL + "/v1/tenants/default/block/64"
-
-	req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(data))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT status %d", resp.StatusCode)
-	}
-
-	resp, err = http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, BlockBytes)
-	if _, err := io.ReadFull(resp.Body, got); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !bytes.Equal(got, data) {
-		t.Error("block GET mangled")
-	}
-}
-
 // TestTenantIsolation pins the namespace property: the same address in
 // two tenants holds independent content.
 func TestTenantIsolation(t *testing.T) {
@@ -337,6 +307,58 @@ func TestAdminLifecycle(t *testing.T) {
 	}
 	if infos, _ := admin.Tenants(); len(infos) != 1 {
 		t.Fatalf("tenant not dropped: %+v", infos)
+	}
+}
+
+// TestStartScrubOwnedByTenant pins who owns a patrol started outside the
+// admin API, as copserve -scrub starts one: the tenant. An admin start
+// then conflicts with it instead of adding a second patrol, and
+// Server.Drain stops it, so no scan runs once Drain has returned.
+func TestStartScrubOwnedByTenant(t *testing.T) {
+	srv, hs := testServer(t)
+	b := testClient(t, hs).NewBatch()
+	for i := 0; i < 64; i++ {
+		b.Write(uint64(i)*BlockBytes, block(byte(i)))
+	}
+	if _, err := b.Flush().Do(); err != nil {
+		t.Fatal(err)
+	}
+	tn, _ := srv.Tenant("default")
+	if err := tn.StartScrub(migrate.ScrubOptions{Interval: 100 * time.Microsecond}); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := hs.Client().Post(hs.URL+"/admin/tenants/default/scrub", "application/json",
+		strings.NewReader(`{"action": "start"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("admin scrub start beside a running patrol: status %d, want 409", resp.StatusCode)
+	}
+
+	scans := func() uint64 { return tn.Batched().Snapshot().Controller.ScrubScans }
+	for deadline := time.Now().Add(5 * time.Second); scans() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("patrol made no scans")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tn.scrubMu.Lock()
+	running := tn.scrub != nil
+	tn.scrubMu.Unlock()
+	if running {
+		t.Error("tenant still holds a patrol after Drain returned")
+	}
+	before := scans()
+	time.Sleep(50 * time.Millisecond)
+	if after := scans(); after != before {
+		t.Errorf("patrol scanned after Drain returned: %d -> %d scans", before, after)
 	}
 }
 

@@ -60,7 +60,9 @@ func TestRequestHeaderVersions(t *testing.T) {
 // batch produces a single trace in which a request's flow ids join the
 // client submit, the wire frame, the server stage spans, the shard route,
 // and the DRAM records — and the whole thing exports as one valid
-// Perfetto track set with flow arrows carrying those ids.
+// Perfetto track set with flow arrows carrying those ids. Every read of
+// the multi-op frame carries its own decoder verdict back over the wire,
+// and a one-op frame joins its shard route to its op span like any other.
 func TestTraceFlowEndToEnd(t *testing.T) {
 	tr := trace.New(trace.Config{RingSize: 1 << 14})
 	srv := NewServer(WithServerTracer(tr))
@@ -113,9 +115,33 @@ func TestTraceFlowEndToEnd(t *testing.T) {
 		if !bytes.Equal(r.Data, block(byte(i))) {
 			t.Fatalf("read %d mangled", i)
 		}
+		// Each of these reads misses the LLC and decodes a DRAM image;
+		// its verdict must reach the client, not a zero ReadInfo.
+		if !r.Info.FromDRAM || r.Info.ValidCodewords == 0 {
+			t.Errorf("read %d of a %d-op frame: info %+v, want a DRAM fill with valid code words", i, reads, r.Info)
+		}
+	}
+
+	// A one-op frame runs through the same window path, so its read's
+	// shard route joins the op span too.
+	b.Read(reads * BlockBytes)
+	oneTid := b.TraceID()
+	one, err := b.Do()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one[0].Err != nil || !bytes.Equal(one[0].Data, block(reads)) {
+		t.Fatalf("one-op read: err %v, data mangled or short", one[0].Err)
 	}
 	tr.Stop()
 	recs := tr.Snapshot()
+	oneRouted := false
+	for _, r := range recs {
+		oneRouted = oneRouted || (r.Flow == OpSpan(oneTid, 0) && r.Kind == trace.KindShardRoute)
+	}
+	if !oneRouted {
+		t.Error("one-op read frame left no shard-route record under its op span")
+	}
 
 	// Frame-level records on both sides of the wire, under one span.
 	frameSpan := FrameSpan(tid)
@@ -236,18 +262,6 @@ func TestTraceFlowEndToEnd(t *testing.T) {
 	}
 }
 
-// slowReadStore delays every read, making any frame containing one slower
-// than the capture threshold.
-type slowReadStore struct {
-	fixedStore
-	delay time.Duration
-}
-
-func (s *slowReadStore) ReadInto(dst []byte, addr uint64) (memctrl.ReadInfo, error) {
-	time.Sleep(s.delay)
-	return s.fixedStore.ReadInto(dst, addr)
-}
-
 // TestSlowFrameCapture pins the tail-latency capturer: a frame over the
 // threshold lands in /debug/slowlog with its stage breakdown, freezes the
 // flight recorder with a parseable black-box dump, and the threshold is
@@ -259,7 +273,9 @@ func TestSlowFrameCapture(t *testing.T) {
 		LogSize:   8,
 		Freeze:    true,
 	}))
-	if _, err := srv.AddTenant("slow", &slowReadStore{delay: 2 * time.Millisecond}); err != nil {
+	// One shard, so holding its lock stalls every read the tenant serves.
+	tn, err := srv.CreateTenant("slow", TenantConfig{Scheme: "cop-er", Shards: 1, LLCBytes: 64 * 1024, LLCWays: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv.Handler())
@@ -270,7 +286,37 @@ func TestSlowFrameCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Read(0); err != nil {
+	// Make the frame slow: hold the shard lock until the read's frame has
+	// been admitted and has waited on it for a few milliseconds.
+	held, release := make(chan struct{}), make(chan struct{})
+	lockDone := make(chan error, 1)
+	go func() {
+		lockDone <- tn.Batched().WithShard(0, func(*memctrl.Controller) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := c.Read(0)
+		readDone <- err
+	}()
+	for srv.net.Inflight.Load() == 0 {
+		select {
+		case err := <-readDone:
+			close(release) // unblock the holder, or Cleanup's drain waits on the lock forever
+			t.Fatalf("read returned before reaching the held shard: %v", err)
+		case <-time.After(50 * time.Microsecond):
+		}
+	}
+	time.Sleep(5 * time.Millisecond)
+	close(release)
+	if err := <-lockDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-readDone; err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,33 +21,6 @@ import (
 	"cop/internal/trace"
 )
 
-// Store is the protected-memory surface the server fronts. cop.Store
-// satisfies it (the method set is a subset with identical signatures), so
-// a server can be handed any front-end; capability interfaces below
-// unlock ranges, fault injection, and batched windows when the concrete
-// store supports them.
-type Store interface {
-	ReadInto(dst []byte, addr uint64) (memctrl.ReadInfo, error)
-	Write(addr uint64, data []byte) error
-	Flush() error
-	Snapshot() telemetry.Snapshot
-}
-
-// rangeStore unlocks the byte-range operations.
-type rangeStore interface {
-	ReadBytesInto(dst []byte, addr uint64) error
-	WriteBytes(addr uint64, data []byte) error
-}
-
-// faultStore unlocks the fault-campaign surface (settle, ground-truth
-// image queries, injections) that soak-mode load harnesses drive.
-type faultStore interface {
-	Settle(addr uint64) error
-	StoredKind(addr uint64) memctrl.StoredKind
-	InjectBitFlip(addr uint64, bit int) bool
-	InjectChipFailure(addr uint64, chip int, pattern byte) bool
-}
-
 // TenantConfig parameterizes an admin-created tenant memory. The zero
 // value opens a cop-er batched memory with auto topology and the paper's
 // 4 MB / 16-way LLC.
@@ -79,9 +52,10 @@ const (
 // opposed to a conflict with existing state).
 var errTenantConfig = errors.New("copnet: invalid tenant config")
 
-// Open builds the tenant's batched memory. Callers own Close (or hand the
-// store to a Server, whose Close covers it). Every error is a
-// configuration error and wraps errTenantConfig.
+// Open builds a batched memory of the tenant's shape. Server.CreateTenant
+// opens its tenants through it and owns them; any other caller owns the
+// memory's Close. Every error is a configuration error and wraps
+// errTenantConfig.
 func (c TenantConfig) Open() (*shard.Batched, error) {
 	b, err := c.open()
 	if err != nil {
@@ -105,21 +79,17 @@ func (c TenantConfig) open() (*shard.Batched, error) {
 	if err != nil {
 		return nil, err
 	}
-	return shard.NewBatchedChecked(shard.BatchedConfig{
-		Shard: shard.Config{
-			Mem:    memctrl.Config{Mode: sc.Mode, LLCBytes: c.LLCBytes, LLCWays: c.LLCWays},
-			Shards: c.Shards,
-		},
+	return shard.NewBatchedChecked(shard.Config{
+		Mem:    memctrl.Config{Mode: sc.Mode, LLCBytes: c.LLCBytes, LLCWays: c.LLCWays},
+		Shards: c.Shards,
 	})
 }
 
-// Tenant is one namespace: an isolated protected memory plus its optional
-// background scrubber.
+// Tenant is one namespace: an isolated batched memory the server built
+// and closes, plus its optional background scrubber.
 type Tenant struct {
 	name    string
-	store   Store
-	batched *shard.Batched // non-nil when store supports windows/drain/reconfiguration
-	owned   bool           // server built the store and closes it
+	batched *shard.Batched
 
 	// tel is the tenant's serve-side telemetry (wire counters, frame and
 	// per-stage latency histograms). A value field, so a directly
@@ -134,11 +104,8 @@ type Tenant struct {
 // Name returns the tenant's namespace name.
 func (t *Tenant) Name() string { return t.name }
 
-// Store returns the tenant's memory.
-func (t *Tenant) Store() Store { return t.store }
-
-// Batched returns the tenant's batched front-end, nil when the registered
-// store is not one.
+// Batched returns the tenant's memory. The server owns it: Drain fences
+// it, and RemoveTenant and Close close it.
 func (t *Tenant) Batched() *shard.Batched { return t.batched }
 
 // TenantInfo is the admin listing entry for one tenant.
@@ -239,8 +206,11 @@ func NewServer(opts ...ServerOption) *Server {
 }
 
 // CreateTenant opens a fresh batched memory per cfg and registers it
-// under name. The server owns (and will Close) the store.
+// under name. The server owns (and will Close) the memory.
 func (s *Server) CreateTenant(name string, cfg TenantConfig) (*Tenant, error) {
+	if name == "" {
+		return nil, fmt.Errorf("copnet: empty tenant name")
+	}
 	b, err := cfg.Open()
 	if err != nil {
 		return nil, err
@@ -248,37 +218,19 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) (*Tenant, error) {
 	if s.tracer != nil {
 		b.SetTracer(s.tracer)
 	}
-	t, err := s.addTenant(name, b, b, true)
-	if err != nil {
-		b.Close()
-		return nil, err
-	}
-	return t, nil
-}
-
-// AddTenant registers an externally owned store under name. Any Store
-// works; a *shard.Batched additionally gets windowed batches, drain
-// coverage, and the reconfiguration admin surface.
-func (s *Server) AddTenant(name string, st Store) (*Tenant, error) {
-	b, _ := st.(*shard.Batched)
-	return s.addTenant(name, st, b, false)
-}
-
-func (s *Server) addTenant(name string, st Store, b *shard.Batched, owned bool) (*Tenant, error) {
-	if name == "" {
-		return nil, fmt.Errorf("copnet: empty tenant name")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.tenants[name]; dup {
+		b.Close()
 		return nil, fmt.Errorf("copnet: tenant %q already exists", name)
 	}
-	t := &Tenant{name: name, store: st, batched: b, owned: owned}
+	t := &Tenant{name: name, batched: b}
 	s.tenants[name] = t
 	return t, nil
 }
 
-// RemoveTenant drains (server-owned stores only) and deregisters a tenant.
+// RemoveTenant deregisters a tenant, stops its scrubber, then drains and
+// closes its memory.
 func (s *Server) RemoveTenant(name string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[name]
@@ -290,12 +242,9 @@ func (s *Server) RemoveTenant(name string) error {
 		return fmt.Errorf("copnet: no tenant %q", name)
 	}
 	t.stopScrub()
-	if t.owned && t.batched != nil {
-		err := t.batched.Drain()
-		t.batched.Close()
-		return err
-	}
-	return nil
+	err := t.batched.Drain()
+	t.batched.Close()
+	return err
 }
 
 // Tenant looks a namespace up.
@@ -311,22 +260,18 @@ func (s *Server) TenantInfos() []TenantInfo {
 	s.mu.RLock()
 	infos := make([]TenantInfo, 0, len(s.tenants))
 	for _, t := range s.tenants {
-		info := TenantInfo{Name: t.name, Scheme: t.store.Snapshot().Scheme}
-		if t.batched != nil {
-			info.Shards = t.batched.NumShards()
-			info.Ops = t.batched.Ops()
-		}
-		infos = append(infos, info)
+		b := t.batched
+		infos = append(infos, TenantInfo{Name: t.name, Scheme: b.Mode().String(), Shards: b.NumShards(), Ops: b.Ops()})
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
 
-// snapshot is the tenant's full telemetry tree: the store's sections plus
+// snapshot is the tenant's full telemetry tree: the memory's sections plus
 // this tenant's wire counters and serve-datapath latency attribution.
 func (t *Tenant) snapshot() telemetry.Snapshot {
-	snap := t.store.Snapshot()
+	snap := t.batched.Snapshot()
 	net := t.tel.net.Snapshot()
 	snap.Net = &net
 	snap.Serve = t.tel.serveStats()
@@ -373,11 +318,10 @@ func (s *Server) Ready() bool { return !s.draining.Load() }
 // requests bounce with 503, /readyz goes red), wait out every admitted
 // request — so every acknowledged write has fully executed, its frame's
 // window waited out — stop the patrol scrubbers, then quiesce each
-// batched tenant via the shard drain machinery (LLCs flushed, shards
-// fenced). After a nil
-// return, every acknowledged write is durable in the tenants' DRAM
-// images. ctx bounds only the wait for admitted requests; tenant drains
-// run to completion regardless.
+// tenant via the shard drain machinery (LLCs flushed, shards fenced).
+// After a nil return, every acknowledged write is durable in the tenants'
+// DRAM images. ctx bounds only the wait for admitted requests; tenant
+// drains run to completion regardless.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
@@ -398,18 +342,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	var firstErr error
 	for _, t := range tenants {
 		t.stopScrub()
-		if t.batched != nil {
-			if err := t.batched.Drain(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		} else if err := t.store.Flush(); err != nil && firstErr == nil {
+		if err := t.batched.Drain(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// Close drains (unbounded fence) and closes every server-owned store.
+// Close drains (unbounded fence) and closes every tenant's memory.
 func (s *Server) Close() error {
 	err := s.Drain(context.Background())
 	s.mu.Lock()
@@ -417,17 +357,15 @@ func (s *Server) Close() error {
 	s.tenants = make(map[string]*Tenant)
 	s.mu.Unlock()
 	for _, t := range tenants {
-		if t.owned && t.batched != nil {
-			t.batched.Close()
-		}
+		t.batched.Close()
 	}
 	return err
 }
 
-func (t *Tenant) startScrub(opts migrate.ScrubOptions) error {
-	if t.batched == nil {
-		return fmt.Errorf("copnet: tenant %q store has no scrub capability", t.name)
-	}
+// StartScrub starts the tenant's patrol scrubber. The tenant owns the
+// patrol: the admin scrub "stop" action, RemoveTenant and Server.Drain
+// stop it. It fails while a patrol is already running.
+func (t *Tenant) StartScrub(opts migrate.ScrubOptions) error {
 	t.scrubMu.Lock()
 	defer t.scrubMu.Unlock()
 	if t.scrub != nil {
@@ -451,12 +389,12 @@ func (t *Tenant) stopScrub() {
 // --- request execution ---------------------------------------------------
 
 // execBatch runs the decoded request frame in sc against the tenant and
-// returns the response frame (backed by sc.resp). With a batched store,
-// consecutive read/write runs ride one group window (one shard-lock hold
-// per touched shard); each barrier op waits the open window out first. A
-// window error is conservatively attributed to every operation in that
-// window (the group reports only the first), so no failed write is ever
-// acknowledged.
+// returns the response frame (backed by sc.resp). Every frame, a one-op
+// frame included, runs through execWindowed: consecutive read/write runs
+// ride one group window (one shard-lock hold per touched shard), and each
+// barrier op waits the open window out first. A window error is
+// conservatively attributed to every operation in that window (the group
+// reports only the first), so no failed write is ever acknowledged.
 //
 // Every read payload is carved out of sc.arena — one slab per frame
 // instead of one make per op — and the response is appended into sc.resp,
@@ -492,15 +430,7 @@ func (t *Tenant) execBatch(sc *frameScratch) []byte {
 		}
 	}
 
-	// Single-op frames take the synchronous path even on a batched store:
-	// there is no window to amortize, and the sync read carries the full
-	// ReadInfo decode verdict (group windows report only data), which the
-	// fault campaign's classifier wants end-to-end.
-	if t.batched != nil && len(ops) > 1 {
-		t.execWindowed(ops, results, sc)
-	} else {
-		t.execSequential(ops, results, sc)
-	}
+	t.execWindowed(ops, results, sc)
 
 	encStart := time.Now()
 	resp := grow(sc.resp, respSizeHint(ops))[:0]
@@ -529,8 +459,9 @@ func respSizeHint(ops []reqOp) int {
 	return n
 }
 
-// execWindowed executes ops through the batched front-end. Read payload
-// buffers are preassigned in results[i].data.
+// execWindowed executes ops through the tenant's memory. Read payload
+// buffers are preassigned in results[i].data, and each read's decoder
+// verdict lands in results[i].info.
 //
 // Stage attribution: ring-wait is the time spent buffering a window's ops
 // into the group (the stage keeps its name because dashboards and the
@@ -538,9 +469,9 @@ func respSizeHint(ops []reqOp) int {
 // the execution — plus any synchronous barrier execution. Per-op latency
 // for window ops is the window duration they rode — each op's completion
 // latency is its window's, which is what a caller actually experiences.
-// Traced frames thread each op's derived span id into the group, so the
-// flight recorder joins the wire frame to its shard batches and DRAM
-// accesses.
+// Traced frames thread each op's derived span id into the group (span 0,
+// a fresh flow, when untraced), so the flight recorder joins the wire
+// frame to its shard batches and DRAM accesses.
 func (t *Tenant) execWindowed(ops []reqOp, results []opResult, sc *frameScratch) {
 	b := t.batched
 	g := b.NewGroup()
@@ -566,19 +497,15 @@ func (t *Tenant) execWindowed(ops []reqOp, results []opResult, sc *frameScratch)
 	for i := range ops {
 		op := &ops[i]
 		r := &results[i]
+		var span uint64
+		if sc.traced {
+			span = OpSpan(sc.traceID, i)
+		}
 		switch op.kind {
 		case OpRead:
-			if sc.traced {
-				g.ReadFlow(r.data, op.addr, OpSpan(sc.traceID, i))
-			} else {
-				g.Read(r.data, op.addr)
-			}
+			g.ReadFlow(r.data, op.addr, span, &r.info)
 		case OpWrite:
-			if sc.traced {
-				g.WriteFlow(op.addr, op.data, OpSpan(sc.traceID, i))
-			} else {
-				g.Write(op.addr, op.data)
-			}
+			g.WriteFlow(op.addr, op.data, span)
 		default:
 			flush(i)
 			opStart := time.Now()
@@ -594,83 +521,29 @@ func (t *Tenant) execWindowed(ops []reqOp, results []opResult, sc *frameScratch)
 	b.PutGroup(g)
 	sc.stageNs[trace.StageRingWait] += ringWait
 	sc.stageNs[trace.StageWindow] += window
-	// Window reads carry no per-op info through the group API; mark what
-	// is knowable: the data came from the hierarchy (hit or decode).
-}
-
-// execSequential executes ops one by one against a plain Store. All the
-// execution time is window time (nothing is buffered).
-func (t *Tenant) execSequential(ops []reqOp, results []opResult, sc *frameScratch) {
-	var window uint64
-	for i := range ops {
-		op := &ops[i]
-		r := &results[i]
-		opStart := time.Now()
-		switch op.kind {
-		case OpRead:
-			r.info, r.err = t.store.ReadInto(r.data, op.addr)
-		case OpWrite:
-			r.err = t.store.Write(op.addr, op.data)
-		default:
-			t.execOne(op, r)
-		}
-		d := uint64(time.Since(opStart))
-		window += d
-		t.tel.op[op.kind].Observe(d)
-	}
-	sc.stageNs[trace.StageWindow] += window
 }
 
 // execOne executes a barrier op synchronously.
 func (t *Tenant) execOne(op *reqOp, r *opResult) {
+	b := t.batched
 	switch op.kind {
 	case OpFlush:
-		r.err = t.store.Flush()
+		r.err = b.Flush()
 	case OpReadRange:
-		rs, ok := t.store.(rangeStore)
-		if !ok {
-			r.err = fmt.Errorf("store does not support range reads")
-			return
-		}
 		// r.data is the arena slice execBatch preassigned (len op.n).
-		r.err = rs.ReadBytesInto(r.data, op.addr)
+		r.err = b.ReadBytesInto(r.data, op.addr)
 	case OpWriteRange:
-		rs, ok := t.store.(rangeStore)
-		if !ok {
-			r.err = fmt.Errorf("store does not support range writes")
-			return
-		}
-		r.err = rs.WriteBytes(op.addr, op.data)
+		r.err = b.WriteBytes(op.addr, op.data)
 	case OpSettle:
-		fs, ok := t.store.(faultStore)
-		if !ok {
-			r.err = fmt.Errorf("store does not support settle")
-			return
-		}
-		r.err = fs.Settle(op.addr)
+		r.err = b.Settle(op.addr)
 	case OpStoredKind:
-		fs, ok := t.store.(faultStore)
-		if !ok {
-			r.err = fmt.Errorf("store does not support image queries")
-			return
-		}
-		r.flag = byte(fs.StoredKind(op.addr))
+		r.flag = byte(b.StoredKind(op.addr))
 	case OpInjectBit:
-		fs, ok := t.store.(faultStore)
-		if !ok {
-			r.err = fmt.Errorf("store does not support fault injection")
-			return
-		}
-		if fs.InjectBitFlip(op.addr, int(op.arg)) {
+		if b.InjectBitFlip(op.addr, int(op.arg)) {
 			r.flag = 1
 		}
 	case OpInjectChip:
-		fs, ok := t.store.(faultStore)
-		if !ok {
-			r.err = fmt.Errorf("store does not support fault injection")
-			return
-		}
-		if fs.InjectChipFailure(op.addr, int(op.arg), op.pat) {
+		if b.InjectChipFailure(op.addr, int(op.arg), op.pat) {
 			r.flag = 1
 		}
 	default:
@@ -703,10 +576,6 @@ func (s *Server) buildHandler() http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/tenants/{tenant}/batch", s.gated(s.handleBatch))
-	mux.HandleFunc("GET /v1/tenants/{tenant}/block/{addr}", s.gated(s.handleBlockGet))
-	mux.HandleFunc("PUT /v1/tenants/{tenant}/block/{addr}", s.gated(s.handleBlockPut))
-	mux.HandleFunc("POST /v1/tenants/{tenant}/flush", s.gated(s.handleFlush))
-	mux.HandleFunc("GET /v1/tenants/{tenant}/snapshot", s.gated(s.handleTenantSnapshot))
 
 	mux.HandleFunc("GET /admin/tenants", s.gated(s.handleTenantList))
 	mux.HandleFunc("PUT /admin/tenants/{tenant}", s.gated(s.handleTenantCreate))
@@ -925,82 +794,6 @@ func (s *Server) noteFrame(t *Tenant, sc *frameScratch, totalNs uint64) {
 	}
 }
 
-func (s *Server) handleBlockGet(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.pathTenant(w, r)
-	if !ok {
-		return
-	}
-	addr, err := strconv.ParseUint(r.PathValue("addr"), 0, 64)
-	if err != nil {
-		http.Error(w, "bad address: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	sc.arena = grow(sc.arena, BlockBytes)
-	dst := sc.arena
-	info, err := t.store.ReadInto(dst, addr)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(BlockBytes))
-	w.Header().Set("X-Cop-Llc-Hit", strconv.FormatBool(info.LLCHit))
-	w.Header().Set("X-Cop-Compressed", strconv.FormatBool(info.DecodedCompressed))
-	w.Header().Set("X-Cop-Corrected", strconv.Itoa(info.Corrected))
-	_, _ = w.Write(dst)
-}
-
-func (s *Server) handleBlockPut(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.pathTenant(w, r)
-	if !ok {
-		return
-	}
-	addr, err := strconv.ParseUint(r.PathValue("addr"), 0, 64)
-	if err != nil {
-		http.Error(w, "bad address: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	body, err := readBodyInto(sc.body, r, BlockBytes+1)
-	sc.body = body[:0]
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) != BlockBytes {
-		http.Error(w, fmt.Sprintf("block write wants exactly %d bytes, got %d", BlockBytes, len(body)), http.StatusBadRequest)
-		return
-	}
-	if err := t.store.Write(addr, body); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.pathTenant(w, r)
-	if !ok {
-		return
-	}
-	if err := t.store.Flush(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleTenantSnapshot(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.pathTenant(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, t.snapshot())
-}
-
 func (s *Server) handleTenantList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.TenantInfos())
 }
@@ -1036,10 +829,6 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if t.batched == nil {
-		http.Error(w, "tenant store does not support live migration", http.StatusConflict)
-		return
-	}
 	var req struct {
 		Scheme      string `json:"scheme"`
 		ChunkBlocks int    `json:"chunk_blocks,omitempty"`
@@ -1058,10 +847,6 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReshard(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.pathTenant(w, r)
 	if !ok {
-		return
-	}
-	if t.batched == nil {
-		http.Error(w, "tenant store does not support resharding", http.StatusConflict)
 		return
 	}
 	var req struct {
@@ -1102,7 +887,7 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 		if req.IntervalUS > 0 {
 			opts.Interval = time.Duration(req.IntervalUS) * time.Microsecond
 		}
-		if err := t.startScrub(opts); err != nil {
+		if err := t.StartScrub(opts); err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}

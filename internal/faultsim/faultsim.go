@@ -539,7 +539,7 @@ func Run(cfg Config) (*Result, error) {
 		if sets := cfg.LLCBytes / (cfg.LLCWays * memctrl.BlockBytes); shards > sets {
 			shards = sets
 		}
-		b, err := shard.NewBatchedChecked(shard.BatchedConfig{Shard: shard.Config{Mem: memCfg, Shards: shards}})
+		b, err := shard.NewBatchedChecked(shard.Config{Mem: memCfg, Shards: shards})
 		if err != nil {
 			return nil, err
 		}

@@ -60,9 +60,7 @@ func FuzzMigrateRangeOps(f *testing.F) {
 		}
 		memCfg := memctrl.Config{Mode: memctrl.COP, COPConfig: core.NewConfig4(), LLCBytes: 16 * 1024, LLCWays: 4}
 		ref := memctrl.New(memCfg)
-		bm := shard.NewBatched(shard.BatchedConfig{
-			Shard: shard.Config{Mem: memCfg, Shards: 4},
-		})
+		bm := shard.NewBatched(shard.Config{Mem: memCfg, Shards: 4})
 		defer bm.Close()
 
 		const span = 1 << 12

@@ -40,11 +40,9 @@ func compressibleWorkload(t *testing.T) string {
 }
 
 func newBatched(s Scheme, shards int) *shard.Batched {
-	return shard.NewBatched(shard.BatchedConfig{
-		Shard: shard.Config{
-			Mem:    memctrl.Config{Mode: s.Mode, COPConfig: s.COP, LLCBytes: 32 * 1024, LLCWays: 8},
-			Shards: shards,
-		},
+	return shard.NewBatched(shard.Config{
+		Mem:    memctrl.Config{Mode: s.Mode, COPConfig: s.COP, LLCBytes: 32 * 1024, LLCWays: 8},
+		Shards: shards,
 	})
 }
 
@@ -331,11 +329,9 @@ func TestMigrationTelemetryProgress(t *testing.T) {
 }
 
 func ExampleMigrate() {
-	bm := shard.NewBatched(shard.BatchedConfig{
-		Shard: shard.Config{
-			Mem:    memctrl.Config{Mode: memctrl.COP, COPConfig: core.NewConfig4(), LLCBytes: 16 * 1024, LLCWays: 4},
-			Shards: 2,
-		},
+	bm := shard.NewBatched(shard.Config{
+		Mem:    memctrl.Config{Mode: memctrl.COP, COPConfig: core.NewConfig4(), LLCBytes: 16 * 1024, LLCWays: 4},
+		Shards: 2,
 	})
 	defer bm.Close()
 	_ = bm.Write(0, make([]byte, shard.BlockBytes))

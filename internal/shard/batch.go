@@ -74,17 +74,18 @@ const (
 	opWriteRaw              // write of t.dst (invalid-length passthrough)
 )
 
-// Txn is one buffered window operation: pure data, no closures. dst
-// points into the issuing caller's memory and is written before Wait
+// Txn is one buffered window operation: pure data, no closures. dst and
+// info point into the issuing caller's memory and are written before Wait
 // returns; inner, the shard-local address, is filled in when Wait routes
 // the window.
 type Txn struct {
 	op    txnOp
 	addr  uint64
 	inner uint64
-	flow  uint64           // externally supplied trace flow id; 0 = allocate
-	data  [BlockBytes]byte // write payload (copied at issue)
-	dst   []byte           // read destination / raw write payload
+	flow  uint64            // externally supplied trace flow id; 0 = allocate
+	data  [BlockBytes]byte  // write payload (copied at issue)
+	dst   []byte            // read destination / raw write payload
+	info  *memctrl.ReadInfo // read verdict destination; nil discards it
 }
 
 // holdMax caps how many window operations execute under one acquisition
@@ -210,7 +211,7 @@ func (g *Group) execRun(bs *batchShard, ops, retry []*Txn) []*Txn {
 // the buffered operations reference, so a pooled group pins nothing.
 func (g *Group) reset() {
 	for i := range g.txns {
-		g.txns[i].dst = nil
+		g.txns[i].dst, g.txns[i].info = nil, nil
 	}
 	g.txns = g.txns[:0]
 	g.err = nil
@@ -226,13 +227,6 @@ func (g *Group) next() *Txn {
 		g.txns = g.txns[:len(g.txns)+1]
 	}
 	return &g.txns[len(g.txns)-1]
-}
-
-// BatchedConfig parameterizes a batched controller.
-type BatchedConfig struct {
-	// Shard configures the stripe layout (stripe count, protection mode,
-	// total LLC capacity — see Config).
-	Shard Config
 }
 
 // routeEntry maps one stripe to its owning shard. logN rides per entry
@@ -301,7 +295,7 @@ type Batched struct {
 	// reconfMu serializes reconfiguration (Reshard, Reconfigure,
 	// SetTracer, Close). Never taken on the datapath.
 	reconfMu sync.Mutex
-	cfg      BatchedConfig // normalized current logical config (reconfMu)
+	cfg      Config        // normalized current logical config (reconfMu)
 	tracer   *trace.Tracer // attached flight recorder (reconfMu)
 	closed   bool          // set by Close (reconfMu)
 
@@ -332,7 +326,7 @@ type batchShard struct {
 
 // NewBatched builds a batched controller, panicking on an invalid config
 // (NewBatchedChecked reports the error instead).
-func NewBatched(cfg BatchedConfig) *Batched {
+func NewBatched(cfg Config) *Batched {
 	b, err := NewBatchedChecked(cfg)
 	if err != nil {
 		panic(err.Error())
@@ -342,16 +336,15 @@ func NewBatched(cfg BatchedConfig) *Batched {
 
 // NewBatchedChecked builds a batched controller, returning an error for an
 // invalid config instead of panicking.
-func NewBatchedChecked(cfg BatchedConfig) (*Batched, error) {
+func NewBatchedChecked(cfg Config) (*Batched, error) {
 	// The stored config carries the resolved stripe count and LLC
 	// geometry a later Reshard scales from.
-	scfg, err := cfg.Shard.Normalize()
+	scfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Shard = scfg
 	b := &Batched{
-		cfg:    cfg,
+		cfg:    scfg,
 		tracer: scfg.Mem.Tracer,
 	}
 	b.gpool.New = func() any { return new(Group) }
@@ -469,7 +462,10 @@ func (bs *batchShard) execHold(ops []*Txn) (ok bool, err error) {
 func (s *shardSlot) execOne(t *Txn) error {
 	switch t.op {
 	case opRead:
-		_, err := s.read(t.dst, t.addr, t.inner, t.flow)
+		info, err := s.read(t.dst, t.addr, t.inner, t.flow)
+		if t.info != nil {
+			*t.info = info
+		}
 		return err
 	case opWrite:
 		return s.write(t.addr, t.inner, t.data[:], t.flow)
@@ -810,16 +806,19 @@ func (b *Batched) PutGroup(g *Group) {
 // Read buffers an asynchronous full-block read of addr into dst (at least
 // BlockBytes long), executed by the next Wait. dst must stay untouched
 // until Wait returns.
-func (g *Group) Read(dst []byte, addr uint64) { g.ReadFlow(dst, addr, 0) }
+func (g *Group) Read(dst []byte, addr uint64) { g.ReadFlow(dst, addr, 0, nil) }
 
-// ReadFlow is Read with an explicit flight-recorder flow id: the shard
-// route record and everything the controller performs underneath (cache
-// lookup, decode, DRAM commands) join the given flow instead of
-// allocating a fresh one. The networked serve datapath passes wire-derived
-// span ids here; flow 0 behaves exactly like Read.
-func (g *Group) ReadFlow(dst []byte, addr uint64, flow uint64) {
+// ReadFlow is Read with an explicit flight-recorder flow id and a
+// destination for the read's decoder verdict. The shard route record and
+// everything the controller performs underneath (cache lookup, decode,
+// DRAM commands) join the given flow instead of allocating a fresh one;
+// the networked serve datapath passes wire-derived span ids here, and
+// flow 0 allocates a fresh one as Read does. A non-nil info receives the
+// same memctrl.ReadInfo the synchronous ReadInto returns, written under
+// the shard lock before Wait returns; nil discards it.
+func (g *Group) ReadFlow(dst []byte, addr uint64, flow uint64, info *memctrl.ReadInfo) {
 	t := g.next()
-	t.op, t.addr, t.flow, t.dst = opRead, addr, flow, dst
+	t.op, t.addr, t.flow, t.dst, t.info = opRead, addr, flow, dst, info
 }
 
 // Write buffers an asynchronous full-block write, executed by the next
@@ -1030,7 +1029,7 @@ func (b *Batched) SetTracer(t *trace.Tracer) {
 	b.reconfMu.Lock()
 	defer b.reconfMu.Unlock()
 	b.tracer = t
-	b.cfg.Shard.Mem.Tracer = t
+	b.cfg.Mem.Tracer = t
 	topo := b.topo.Load()
 	if t != nil {
 		maxIdx := 0

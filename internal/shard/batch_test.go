@@ -18,7 +18,8 @@ import (
 // synchronous call ("sharded"), the other takes full-block reads and
 // writes as one-op Group windows ("batched"). Both paths must leave
 // byte-identical results: every read and its error, the decoder verdicts
-// of ReadWithInfo, Settle and InjectBitFlip, the DRAM residency and
+// of ReadWithInfo and of a window's ReadFlow (against the synchronous
+// ReadWithInfo), Settle and InjectBitFlip, the DRAM residency and
 // stored-kind ground truth of every block, the op counter, and the full
 // telemetry snapshot (minus the Batch section, which only counts window
 // holds).
@@ -47,12 +48,20 @@ func TestBatchedMatchesShardedReplay(t *testing.T) {
 					if errB := g.Wait(); (errS == nil) != (errB == nil) {
 						t.Fatalf("op %d: Write(%#x) err sharded=%v batched=%v", i, addr, errS, errB)
 					}
-				case 4, 5:
+				case 4:
 					want, errS := sh.Read(addr)
 					g.Read(got, addr)
 					errB := g.Wait()
 					if (errS == nil) != (errB == nil) || (errS == nil && !bytes.Equal(want, got)) {
 						t.Fatalf("op %d: Read(%#x) diverged: err %v/%v", i, addr, errS, errB)
+					}
+				case 5:
+					want, infoS, errS := sh.ReadWithInfo(addr)
+					var infoB memctrl.ReadInfo
+					g.ReadFlow(got, addr, 0, &infoB)
+					errB := g.Wait()
+					if (errS == nil) != (errB == nil) || infoS != infoB || (errS == nil && !bytes.Equal(want, got)) {
+						t.Fatalf("op %d: ReadFlow(%#x) diverged: err %v/%v info %+v/%+v", i, addr, errS, errB, infoS, infoB)
 					}
 				case 6:
 					gotS, infoS, errS := sh.ReadWithInfo(addr)
@@ -531,11 +540,11 @@ func TestBatchedCloseRejects(t *testing.T) {
 	}
 }
 
-// TestBatchedConfigValidation pins the BatchedConfig error case: a stripe
-// count that is not a power of two.
-func TestBatchedConfigValidation(t *testing.T) {
+// TestBatchedRejectsInvalidConfig pins NewBatchedChecked's error case: a
+// stripe count that is not a power of two.
+func TestBatchedRejectsInvalidConfig(t *testing.T) {
 	mem := memctrl.Config{Mode: memctrl.COP, LLCBytes: 64 * 1024, LLCWays: 8}
-	cfg := BatchedConfig{Shard: Config{Mem: mem, Shards: 3}}
+	cfg := Config{Mem: mem, Shards: 3}
 	if _, err := NewBatchedChecked(cfg); err == nil {
 		t.Errorf("config %+v: want error, got nil", cfg)
 	}

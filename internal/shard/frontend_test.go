@@ -76,7 +76,7 @@ func TestOpsCountsPerMethod(t *testing.T) {
 		run(t, []opCase{
 			{"Group.Read", 1, window(func(g *Group) { g.Read(dst, 0) })},
 			{"Group.Write", 1, window(func(g *Group) { g.Write(0, block) })},
-			{"Group.ReadFlow", 1, window(func(g *Group) { g.ReadFlow(dst, 0, 7) })},
+			{"Group.ReadFlow", 1, window(func(g *Group) { g.ReadFlow(dst, 0, 7, &memctrl.ReadInfo{}) })},
 			{"Group.WriteFlow", 1, window(func(g *Group) { g.WriteFlow(0, block, 7) })},
 			// An invalid-length write is still one attempted access.
 			{"Group.Write/raw", 1, window(func(g *Group) { g.Write(0, block[:3]) })},

@@ -57,7 +57,7 @@ func (b *Batched) reshardLocked(newN int) error {
 	if newN < 1 || newN&(newN-1) != 0 {
 		return fmt.Errorf("shard: reshard to %d stripes: count must be a power of two >= 1", newN)
 	}
-	scfg := b.cfg.Shard
+	scfg := b.cfg
 	scfg.Shards = newN
 	scfg, err := scfg.Normalize()
 	if err != nil {
@@ -154,7 +154,7 @@ func (b *Batched) reshardLocked(newN int) error {
 		n:       newN,
 		scheme:  topo.scheme,
 	})
-	b.cfg.Shard = scfg
+	b.cfg = scfg
 	b.migTel.Reshards.Inc()
 	return nil
 }
@@ -288,8 +288,8 @@ func (b *Batched) WithShard(i int, fn func(*memctrl.Controller) error) error {
 // Reconfigure critical section (it assumes reconfiguration is serialized
 // and the topology compact).
 func (b *Batched) CommitScheme(m memctrl.Mode, copCfg core.Config) {
-	b.cfg.Shard.Mem.Mode = m
-	b.cfg.Shard.Mem.COPConfig = copCfg
+	b.cfg.Mem.Mode = m
+	b.cfg.Mem.COPConfig = copCfg
 	next := *b.topo.Load()
 	next.scheme = m
 	b.topo.Store(&next)

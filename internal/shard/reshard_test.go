@@ -71,9 +71,7 @@ func TestReshardEquivalence(t *testing.T) {
 			}
 			addrOf := func(w, idx int) uint64 { return uint64(w*perWorker+idx) * BlockBytes }
 			build := func(n int) *Batched {
-				return NewBatched(BatchedConfig{
-					Shard: Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: n},
-				})
+				return NewBatched(Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: n})
 			}
 
 			// populate writes version 1 of every block and settles it to
@@ -204,9 +202,7 @@ func TestReshardEquivalence(t *testing.T) {
 // the images a never-resharded memory holds.
 func TestReshardRoundTripByteIdentical(t *testing.T) {
 	build := func() *Batched {
-		return NewBatched(BatchedConfig{
-			Shard: Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4},
-		})
+		return NewBatched(Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4})
 	}
 	a, b := build(), build()
 	defer a.Close()
@@ -255,9 +251,7 @@ func TestReshardRoundTripByteIdentical(t *testing.T) {
 // out-of-range stripe counts fail without disturbing the memory, and a
 // closed front-end refuses outright.
 func TestReshardRejects(t *testing.T) {
-	m := NewBatched(BatchedConfig{
-		Shard: Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4},
-	})
+	m := NewBatched(Config{Mem: memctrl.Config{Mode: memctrl.COP, LLCBytes: 32 * 1024, LLCWays: 8}, Shards: 4})
 	data := make([]byte, BlockBytes)
 	data[0] = 0xAB
 	if err := m.Write(0, data); err != nil {

@@ -44,10 +44,11 @@ import (
 // BlockBytes is the access granularity, re-exported for convenience.
 const BlockBytes = memctrl.BlockBytes
 
-// Config parameterizes the stripe layout of a Batched front-end.
+// Config parameterizes a Batched front-end: the controller configuration
+// every shard is built from, and the stripe count.
 //
-// LLC capacity rule — stated once, here, for every front-end that embeds
-// this config (cop.ShardedMemoryConfig included): Mem.LLCBytes is the
+// LLC capacity rule — stated once, here, for every front-end built from
+// this config (cop.BatchedMemoryConfig included): Mem.LLCBytes is the
 // TOTAL cache capacity of the logical memory; each shard receives exactly
 // LLCBytes/Shards. A sharded and an unsharded controller built from the
 // same Mem therefore model the same silicon, and single-threaded replays

@@ -33,9 +33,7 @@ func randomData(rng *rand.Rand) []byte {
 // newUnsharded's, small enough that evictions happen fast. The test
 // closes it.
 func newBatched(t testing.TB, m memctrl.Mode) *Batched {
-	b := NewBatched(BatchedConfig{
-		Shard: Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4},
-	})
+	b := NewBatched(Config{Mem: memctrl.Config{Mode: m, LLCBytes: 64 * 1024, LLCWays: 8}, Shards: 4})
 	t.Cleanup(b.Close)
 	return b
 }
@@ -47,7 +45,7 @@ func newUnsharded(m memctrl.Mode) *memctrl.Controller {
 func TestShardCountNormalization(t *testing.T) {
 	mem := memctrl.Config{Mode: memctrl.COP, LLCBytes: 64 * 1024, LLCWays: 8}
 	open := func(cfg Config) (*Batched, error) {
-		b, err := NewBatchedChecked(BatchedConfig{Shard: cfg})
+		b, err := NewBatchedChecked(cfg)
 		if err == nil {
 			t.Cleanup(b.Close)
 		}
@@ -82,7 +80,7 @@ func TestShardCountNormalization(t *testing.T) {
 				t.Error("NewBatched(Shards=3): want panic")
 			}
 		}()
-		NewBatched(BatchedConfig{Shard: Config{Mem: mem, Shards: 3}})
+		NewBatched(Config{Mem: mem, Shards: 3})
 	}()
 	// Shards=0 auto-selects a power of two clamped to the set count.
 	def, err := open(Config{Mem: memctrl.Config{Mode: memctrl.COP}})

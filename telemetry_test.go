@@ -88,7 +88,7 @@ func TestSnapshotEquivalentAcrossFrontends(t *testing.T) {
 			memCfg := cop.MemoryConfig{Mode: mode, LLCBytes: 64 * 1024, LLCWays: 8}
 			single := cop.NewMemory(memCfg)
 			driveTrace(t, single.Write, single.Read)
-			sharded := cop.NewBatchedMemory(cop.BatchedMemoryConfig{Shard: cop.ShardedMemoryConfig{Mem: memCfg, Shards: 4}})
+			sharded := cop.NewBatchedMemory(cop.BatchedMemoryConfig{Mem: memCfg, Shards: 4})
 			defer sharded.Close()
 			driveTrace(t, sharded.Write, sharded.Read)
 
