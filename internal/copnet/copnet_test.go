@@ -120,6 +120,68 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// overPayloadFrame is a hostile frame well under the body cap — 13 bytes
+// per op — whose maxFrameOps read-ranges of maxRangeBytes each would ask
+// the server for a 64 GiB response.
+func overPayloadFrame() []byte {
+	frame := frameHeader()
+	for i := 0; i < maxFrameOps; i++ {
+		frame = appendReadRange(frame, 0, maxRangeBytes)
+	}
+	return frame
+}
+
+// TestDecodeCapsReadPayload: a frame's read payload — 64 bytes per read
+// plus n per read-range — may not exceed the body cap, so no frame the
+// handler accepts can size a response beyond it.
+func TestDecodeCapsReadPayload(t *testing.T) {
+	hostile := overPayloadFrame()
+	if len(hostile) > maxFrameBytes {
+		t.Fatalf("hostile frame is %d bytes, over the %d-byte body cap", len(hostile), maxFrameBytes)
+	}
+	if _, err := decodeRequest(hostile); err == nil {
+		t.Fatal("accepted 65,536 read-ranges of 1 MiB each")
+	}
+	reads := frameHeader()
+	for i := 0; i < maxFrameOps; i++ {
+		reads = appendRead(reads, uint64(i)*BlockBytes)
+	}
+	if ops, err := decodeRequest(reads); err != nil || len(ops) != maxFrameOps {
+		t.Fatalf("maximal read frame: %d ops, %v", len(ops), err)
+	}
+	ranges := frameHeader()
+	for i := 0; i < 4; i++ {
+		ranges = appendReadRange(ranges, 0, maxRangeBytes)
+	}
+	if _, err := decodeRequest(ranges); err != nil {
+		t.Fatalf("four 1 MiB read-ranges: %v", err)
+	}
+}
+
+// TestBatchRejectsOversizedReadPayload: the handler answers 400 for a
+// frame whose read payload passes the cap, like any malformed frame, and
+// serves one just under it.
+func TestBatchRejectsOversizedReadPayload(t *testing.T) {
+	_, hs := testServer(t)
+	for _, tc := range []struct {
+		ranges, status int
+	}{{5, http.StatusBadRequest}, {4, http.StatusOK}} {
+		frame := frameHeader()
+		for i := 0; i < tc.ranges; i++ {
+			frame = appendReadRange(frame, 0, maxRangeBytes)
+		}
+		resp, err := hs.Client().Post(hs.URL+"/v1/tenants/default/batch", "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%d read-ranges of 1 MiB: status %d, want %d", tc.ranges, resp.StatusCode, tc.status)
+		}
+	}
+}
+
 // TestClientServerRoundTrip drives writes, reads, flush, and ranges
 // through the full network path and checks every byte.
 func TestClientServerRoundTrip(t *testing.T) {

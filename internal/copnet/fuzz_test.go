@@ -50,6 +50,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{wireMagic, wireVersion, 0xEE})
 	f.Add([]byte{wireMagic, wireVersion, byte(OpWrite), 1, 2, 3})
 	f.Add(appendU32(appendU64(append(frameHeader(), byte(OpReadRange)), 0), maxRangeBytes+1))
+	f.Add(overPayloadFrame())
 	f.Add([]byte{wireMagic, wireVersion, statusOK, 0, 0, 0})
 	f.Add([]byte{wireMagic, wireVersion, statusErr, 0xFF, 0xFF, 0xFF, 0xFF, 'x'})
 
@@ -67,11 +68,12 @@ func FuzzWireFrame(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Request side: must not panic, and an accepted frame must
-		// re-encode to exactly the bytes that produced it (matching the
-		// version the frame arrived as).
+		// Request side: must not panic, an accepted frame must re-encode to
+		// exactly the bytes that produced it (matching the version the
+		// frame arrived as), and its read payload must fit the frame cap.
 		ops, traceID, err := decodeRequestInto(nil, data)
 		if err == nil {
+			payload := 0
 			enc := frameHeader()
 			if data[1] == wireVersionTraced {
 				enc = tracedHeader(traceID)
@@ -81,10 +83,12 @@ func FuzzWireFrame(f *testing.F) {
 				switch op.kind {
 				case OpRead:
 					enc = appendRead(enc, op.addr)
+					payload += BlockBytes
 				case OpWrite:
 					enc = appendWrite(enc, op.addr, op.data)
 				case OpReadRange:
 					enc = appendReadRange(enc, op.addr, op.n)
+					payload += int(op.n)
 				case OpWriteRange:
 					enc = appendWriteRange(enc, op.addr, op.data)
 				case OpFlush:
@@ -101,6 +105,9 @@ func FuzzWireFrame(f *testing.F) {
 			}
 			if !bytes.Equal(enc, data) {
 				t.Fatalf("re-encode mismatch: decoded %d ops from %d bytes, re-encoded %d bytes", len(ops), len(data), len(enc))
+			}
+			if payload > maxFrameBytes {
+				t.Fatalf("accepted a frame asking for %d read-payload bytes (cap %d)", payload, maxFrameBytes)
 			}
 		}
 

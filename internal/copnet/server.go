@@ -404,9 +404,9 @@ func (t *Tenant) execBatch(sc *frameScratch) []byte {
 	sc.results = growResults(sc.results, len(ops))
 	results := sc.results
 
-	// Payload arena: size once, slice per op. Read-range payloads are
-	// bounded by maxRangeBytes each, so the sum is bounded by the request
-	// cap the handler already enforced.
+	// Payload arena: size once, slice per op. decodeRequestInto rejected
+	// any frame whose read payload exceeds maxFrameBytes, so the arena and
+	// the response hint stay within that cap.
 	need := 0
 	for i := range ops {
 		switch ops[i].kind {
@@ -700,7 +700,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	var err error
-	sc.body, err = readBodyInto(sc.body, r, 8+maxFrameOps*(9+BlockBytes))
+	sc.body, err = readBodyInto(sc.body, r, maxFrameBytes)
 	tRead := time.Now()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

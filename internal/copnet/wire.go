@@ -120,6 +120,13 @@ const maxRangeBytes = 1 << 20
 // window, low enough that a hostile frame cannot balloon the response plan.
 const maxFrameOps = 1 << 16
 
+// maxFrameBytes is the request body cap the handler enforces (room for
+// maxFrameOps block writes). decodeRequestInto applies it to a frame's
+// read payload too — 64 bytes per read plus n per read-range — which
+// bounds the server's per-frame payload arena and response buffer: a
+// 13-byte read-range op may otherwise ask for a whole maxRangeBytes.
+const maxFrameBytes = 8 + maxFrameOps*(9+BlockBytes)
+
 // reqOp is one decoded request operation. Data aliases the request body —
 // valid only while the body buffer is.
 type reqOp struct {
@@ -246,13 +253,15 @@ func decodeRequest(body []byte) ([]reqOp, error) {
 // decodeRequestInto parses a request frame, appending into ops (pass a
 // length-zero slice with retained capacity to parse allocation-free) and
 // returning the frame's trace id (0 when untraced). Op data slices alias
-// body, so they are valid only while the body buffer is. On error the
-// returned slice holds the ops decoded so far.
+// body, so they are valid only while the body buffer is. A frame whose
+// read payload exceeds maxFrameBytes is rejected. On error the returned
+// slice holds the ops decoded so far.
 func decodeRequestInto(ops []reqOp, body []byte) ([]reqOp, uint64, error) {
 	rest, traceID, err := checkRequestHeader(body)
 	if err != nil {
 		return ops, 0, err
 	}
+	payload := 0 // read payload bytes the response will carry
 	for len(rest) > 0 {
 		if len(ops) >= maxFrameOps {
 			return ops, traceID, fmt.Errorf("copnet: frame exceeds %d operations", maxFrameOps)
@@ -267,6 +276,9 @@ func decodeRequestInto(ops []reqOp, body []byte) ([]reqOp, uint64, error) {
 			}
 			op.addr = binary.LittleEndian.Uint64(rest)
 			rest = rest[8:]
+			if kind == OpRead {
+				payload += BlockBytes
+			}
 		case OpWrite:
 			if len(rest) < 8+BlockBytes {
 				return ops, traceID, truncated(kind)
@@ -284,6 +296,7 @@ func decodeRequestInto(ops []reqOp, body []byte) ([]reqOp, uint64, error) {
 				return ops, traceID, fmt.Errorf("copnet: %v of %d bytes exceeds the %d-byte range cap", kind, op.n, maxRangeBytes)
 			}
 			rest = rest[12:]
+			payload += int(op.n)
 		case OpWriteRange:
 			if len(rest) < 12 {
 				return ops, traceID, truncated(kind)
@@ -318,6 +331,9 @@ func decodeRequestInto(ops []reqOp, body []byte) ([]reqOp, uint64, error) {
 			rest = rest[13:]
 		default:
 			return ops, traceID, fmt.Errorf("copnet: unknown op kind %d", kind)
+		}
+		if payload > maxFrameBytes {
+			return ops, traceID, fmt.Errorf("copnet: frame's read payload exceeds %d bytes", maxFrameBytes)
 		}
 		ops = append(ops, op)
 	}

@@ -15,7 +15,6 @@ import (
 	"cop/internal/cache"
 	"cop/internal/chipkill"
 	"cop/internal/core"
-	"cop/internal/ecc"
 	"cop/internal/telemetry"
 	"cop/internal/trace"
 )
@@ -125,24 +124,15 @@ func (i ReadInfo) corrected() bool { return i.Corrected > 0 || i.CorrectedPointe
 // Controller is a functional protected-memory model. Not safe for
 // concurrent use.
 type Controller struct {
-	mode     Mode
-	scrub    bool
-	codec    *core.Codec
-	sc       *core.CodecScratch // codec scratch; controllers are single-threaded
-	er       *core.ERCodec
-	adaptive *core.AdaptiveCodec
-	ck       *chipkill.ERCodec
-	llc      *cache.Cache
+	cur *scheme    // the scheme every writeback encodes with
+	old *oldScheme // non-nil while a live scheme migration is in flight
+	llc *cache.Cache
 
-	store   *imageStore       // DRAM images, block-aligned address → 64B
-	dimmECC map[uint64][]byte // ECCDIMM: 8 check bytes per block
-	regECC  map[uint64]uint16 // ECCRegion: 11-bit parity per block (2-byte entry)
-
+	store      *imageStore           // DRAM images, block-aligned address → 64B
 	everRaw    map[uint64]bool       // blocks ever stored uncompressed (Fig 12)
 	kinds      map[uint64]StoredKind // ground-truth form of each DRAM image
 	aliasSpill []cache.Line          // alias lines parked during Flush
 	freeBlk    [][]byte              // recycled line buffers (see getBlock)
-	old        *oldScheme            // non-nil while a live scheme migration is in flight
 	tel        telemetry.ControllerCounters
 	th         *trace.Handle // nil until AttachTracer; nil-safe
 }
@@ -158,12 +148,6 @@ type Config struct {
 	// LLCBytes is the TOTAL capacity across all shards — that rule, and
 	// its validation, live in one place: shard.Config.Normalize.
 	LLCBytes, LLCWays int
-	// ScrubOnCorrect makes the controller rewrite a block's DRAM image
-	// after correcting an error on a fill, so latent single-bit faults
-	// do not accumulate into uncorrectable doubles. Real memory
-	// controllers implement this as demand scrubbing; the paper does
-	// not model it, so it defaults off.
-	ScrubOnCorrect bool
 	// Tracer attaches an execution-trace flight recorder (ring 0; sharded
 	// front-ends re-attach per-shard handles). Until the tracer is
 	// started, the hot path pays one nil check plus one atomic load and
@@ -180,8 +164,7 @@ func New(cfg Config) *Controller {
 		cfg.LLCWays = 16
 	}
 	c := &Controller{
-		mode:    cfg.Mode,
-		scrub:   cfg.ScrubOnCorrect,
+		cur:     newScheme(cfg.Mode, cfg.COPConfig),
 		llc:     cache.New(cfg.LLCBytes, cfg.LLCWays, BlockBytes),
 		store:   newImageStore(),
 		everRaw: map[uint64]bool{},
@@ -190,28 +173,9 @@ func New(cfg Config) *Controller {
 	// Clean drops (evictions, flushes) surrender their buffers back to
 	// the free list; line buffers are exclusively owned by their cache
 	// entry in every mode (fills and misses always allocate or recycle a
-	// private buffer, and no image encoder retains one — see scrubBlock).
+	// private buffer, and the raw-storing encoders only ever take
+	// ownership of a buffer that has left the LLC — see writeback).
 	c.llc.SetOnDrop(func(l cache.Line) { c.putBlock(l.Data) })
-	copCfg := cfg.COPConfig
-	if copCfg.Code == nil {
-		copCfg = core.NewConfig4()
-	}
-	switch cfg.Mode {
-	case COP:
-		c.codec = core.NewCodec(copCfg)
-		c.sc = c.codec.NewScratch()
-	case COPER:
-		c.er = core.NewERCodec(copCfg)
-		c.codec = c.er.Codec()
-	case ECCDIMM:
-		c.dimmECC = map[uint64][]byte{}
-	case ECCRegion:
-		c.regECC = map[uint64]uint16{}
-	case COPAdaptive:
-		c.adaptive = core.NewAdaptiveCodec()
-	case COPChipkill:
-		c.ck = chipkill.NewER()
-	}
 	if cfg.Tracer != nil {
 		c.AttachTracer(cfg.Tracer.Handle(0))
 	}
@@ -226,11 +190,11 @@ func New(cfg Config) *Controller {
 func (c *Controller) AttachTracer(h *trace.Handle) {
 	c.th = h
 	c.llc.SetTracer(h)
-	if c.er != nil {
-		c.er.Region().AttachTracer(h)
+	if c.cur.er != nil {
+		c.cur.er.Region().AttachTracer(h)
 	}
-	if c.ck != nil {
-		c.ck.Store().AttachTracer(h)
+	if c.cur.ck != nil {
+		c.cur.ck.Store().AttachTracer(h)
 	}
 }
 
@@ -238,7 +202,7 @@ func (c *Controller) AttachTracer(h *trace.Handle) {
 func (c *Controller) Tracer() *trace.Handle { return c.th }
 
 // Mode returns the protection mode.
-func (c *Controller) Mode() Mode { return c.mode }
+func (c *Controller) Mode() Mode { return c.cur.mode }
 
 // Snapshot returns the controller's unified telemetry tree: its own
 // counters, the LLC section, and (in region-backed modes) the ECC-region
@@ -246,16 +210,16 @@ func (c *Controller) Mode() Mode { return c.mode }
 // counters are atomics, so a snapshot never stalls traffic.
 func (c *Controller) Snapshot() telemetry.Snapshot {
 	s := telemetry.Snapshot{
-		Scheme:     c.mode.String(),
+		Scheme:     c.cur.mode.String(),
 		Controller: c.tel.Snapshot(),
 		Cache:      c.llc.Telemetry(),
 	}
 	switch {
-	case c.er != nil:
-		r := c.er.Region().Telemetry()
+	case c.cur.er != nil:
+		r := c.cur.er.Region().Telemetry()
 		s.Region = &r
-	case c.ck != nil:
-		r := c.ck.Store().Telemetry()
+	case c.cur.ck != nil:
+		r := c.cur.ck.Store().Telemetry()
 		s.Region = &r
 	}
 	s.Finalize()
@@ -266,7 +230,7 @@ func (c *Controller) Snapshot() telemetry.Snapshot {
 func (c *Controller) LLC() *cache.Cache { return c.llc }
 
 // ER exposes the COP-ER codec in COPER mode (nil otherwise).
-func (c *Controller) ER() *core.ERCodec { return c.er }
+func (c *Controller) ER() *core.ERCodec { return c.cur.er }
 
 func align(addr uint64) uint64 { return addr &^ (BlockBytes - 1) }
 
@@ -333,7 +297,7 @@ func (c *Controller) Write(addr uint64, data []byte) error {
 		// dirty victim that must reach DRAM. (line must not be used after
 		// writeback: it can reshuffle the set.)
 		if wb {
-			return c.writebackEvicted(victim)
+			return c.writeback(victim)
 		}
 		return nil
 	}
@@ -352,25 +316,15 @@ func (c *Controller) Write(addr uint64, data []byte) error {
 // valid-code-word count first and compresses only the rare aliasing blocks,
 // so this check no longer doubles every store's compression work.
 func (c *Controller) setAliasBit(line *cache.Line) {
-	switch {
-	case c.mode == COP:
-		line.Alias = c.codec.WouldReject(line.Data)
-	case c.mode == COPAdaptive:
-		line.Alias = c.adaptive.WouldReject(line.Data)
-	default:
-		// COP-ER de-aliases every block via the region pointer; the
-		// remaining modes have no alias concept.
-		line.Alias = false
-		return
-	}
-	if c.th.Enabled() {
+	line.Alias = c.cur.wouldReject(line.Data)
+	if c.th.Enabled() && (c.cur.mode == COP || c.cur.mode == COPAdaptive) {
 		compressible := uint32(1)
 		var f trace.Flags
 		if line.Alias {
 			compressible = 0
 			f = trace.FlagAlias
 		}
-		c.th.Record(trace.KindClassify, line.Addr, compressible, f, 0, uint64(c.mode), 0)
+		c.th.Record(trace.KindClassify, line.Addr, compressible, f, 0, uint64(c.cur.mode), 0)
 	}
 }
 
@@ -380,27 +334,16 @@ func (c *Controller) insert(line cache.Line) error {
 	if !wb {
 		return nil
 	}
-	return c.writebackEvicted(victim)
+	return c.writeback(victim)
 }
 
-// writeback encodes a dirty victim into its DRAM image, leaving the
-// victim's buffer alone — scrubBlock passes a buffer that stays resident.
-// Callers whose victim has actually left the LLC use writebackEvicted so
-// the buffer is recycled.
-func (c *Controller) writeback(victim cache.Line) error {
-	return c.writebackOpt(victim, false)
-}
-
-// writebackEvicted is writeback for a line that has left the LLC: once
-// the image encode is done with the buffer it joins the block free list.
+// writeback encodes a dirty line that is not resident in the LLC (an
+// evicted victim, or a scrub's freshly decoded block) into its DRAM image.
+// Once the encode is done with the buffer it joins the block free list:
 // COP-family encoders build fresh images, so the buffer is dead; the
-// raw-storing modes (Unprotected, ECC region/DIMM) take ownership of it
-// as the image instead, and it is not recycled.
-func (c *Controller) writebackEvicted(victim cache.Line) error {
-	return c.writebackOpt(victim, true)
-}
-
-func (c *Controller) writebackOpt(victim cache.Line, recycle bool) error {
+// raw-storing modes (Unprotected, ECC region/DIMM) take ownership of it as
+// the image instead, and it is not recycled.
+func (c *Controller) writeback(victim cache.Line) error {
 	c.tel.Writebacks.Inc()
 	addr := victim.Addr
 	status, err := c.encodeImage(addr, victim.Data, victim.Ptr, victim.WasUncompressed)
@@ -416,18 +359,16 @@ func (c *Controller) writebackOpt(victim cache.Line, recycle bool) error {
 		victim.Alias = true
 		return c.insert(victim)
 	}
-	if recycle {
-		switch c.mode {
-		case COP, COPER, COPChipkill, COPAdaptive:
-			c.putBlock(victim.Data)
-		}
+	switch c.cur.mode {
+	case COP, COPER, COPChipkill, COPAdaptive:
+		c.putBlock(victim.Data)
 	}
 	if c.th.Enabled() {
 		f := trace.FlagWrite
 		if c.kinds[addr] == StoredKindCompressed {
 			f |= trace.FlagCompressed
 		}
-		c.th.Record(trace.KindEncode, addr, uint32(c.kinds[addr]), f, 0, uint64(c.mode), 0)
+		c.th.Record(trace.KindEncode, addr, uint32(c.kinds[addr]), f, 0, uint64(c.cur.mode), 0)
 		// The functional store has no device-time model (that lives in
 		// internal/dram for the simulator), so the image write is recorded
 		// with zero bus cycles; the exporter falls back to wall time.
@@ -438,13 +379,15 @@ func (c *Controller) writebackOpt(victim cache.Line, recycle bool) error {
 
 // encodeImage encodes data as addr's DRAM image under the current scheme,
 // updating the stored-kind ground truth and the stored/ever-raw counters.
-// A core.RejectedAlias status (COP-family incompressible alias) leaves
-// DRAM untouched; the caller decides whether to pin the line. Raw-storing
-// modes take ownership of the data slice. prevPtr/hasPrev carry a COP-ER /
+// It is the only code that writes a DRAM image or records its kind. A
+// core.RejectedAlias status (COP-family incompressible alias) leaves DRAM
+// untouched; the caller decides whether to pin the line. Raw-storing modes
+// take ownership of the data slice. prevPtr/hasPrev carry a COP-ER /
 // chipkill line's existing region-entry association.
 func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPrev bool) (core.StoreStatus, error) {
+	s := c.cur
 	var status core.StoreStatus
-	switch c.mode {
+	switch s.mode {
 	case Unprotected:
 		c.store.set(addr, data)
 		c.kinds[addr] = StoredKindRaw
@@ -458,7 +401,7 @@ func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPr
 		if !ok {
 			image = make([]byte, BlockBytes)
 		}
-		status = c.codec.EncodeInto(image, data, c.sc)
+		status = s.codec.EncodeInto(image, data, s.sc)
 		switch status {
 		case core.StoredCompressed:
 			if !ok {
@@ -488,7 +431,7 @@ func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPr
 		if hasPrev {
 			prev = prevPtr
 		}
-		image, _, compressed, err := c.er.Write(data, prev)
+		image, _, compressed, err := s.er.Write(data, prev)
 		if err != nil {
 			return 0, err
 		}
@@ -508,7 +451,7 @@ func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPr
 		if hasPrev {
 			prev = prevPtr
 		}
-		image, _, inline, err := c.ck.Write(data, prev)
+		image, _, inline, err := s.ck.Write(data, prev)
 		if err != nil {
 			return 0, err
 		}
@@ -525,7 +468,7 @@ func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPr
 		}
 	case COPAdaptive:
 		var image []byte
-		image, _, status = c.adaptive.Encode(data)
+		image, _, status = s.adaptive.Encode(data)
 		switch status {
 		case core.StoredCompressed:
 			c.store.set(addr, image)
@@ -541,14 +484,14 @@ func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPr
 		}
 	case ECCRegion:
 		c.store.set(addr, data)
-		c.regECC[addr] = blockParity523(data)
+		s.regECC[addr] = blockParity523(data)
 		c.kinds[addr] = StoredKindRaw
 		c.tel.StoredRaw.Inc()
 		c.tel.RegionReads.Inc()
 		status = core.StoredRaw
 	case ECCDIMM:
 		c.store.set(addr, data)
-		c.dimmECC[addr] = dimmCheckBytes(data)
+		s.dimmECC[addr] = dimmCheckBytes(data)
 		c.kinds[addr] = StoredKindRaw
 		c.tel.StoredCompressed.Inc() // protected, inline — closest bucket
 		c.tel.DIMMCheckBytesWritten.Add(8)
@@ -576,7 +519,7 @@ func (c *Controller) markEverRaw(addr uint64) {
 // feeds the tracer's alias-burst anomaly trigger.
 func (c *Controller) traceAliasRetained(addr uint64) {
 	if c.th.Enabled() {
-		c.th.Record(trace.KindAliasRetained, addr, 0, trace.FlagAlias|trace.FlagWrite, 0, uint64(c.mode), 0)
+		c.th.Record(trace.KindAliasRetained, addr, 0, trace.FlagAlias|trace.FlagWrite, 0, uint64(c.cur.mode), 0)
 	}
 }
 
@@ -624,7 +567,7 @@ func (c *Controller) ReadInto(dst []byte, addr uint64) (ReadInfo, error) {
 		// An overflow promotion during the lookup may have evicted a dirty
 		// line; its writeback must not be dropped.
 		if wb {
-			if err := c.writebackEvicted(victim); err != nil {
+			if err := c.writeback(victim); err != nil {
 				return ReadInfo{}, err
 			}
 		}
@@ -635,18 +578,9 @@ func (c *Controller) ReadInto(dst []byte, addr uint64) (ReadInfo, error) {
 	if err != nil {
 		if c.th.Enabled() {
 			c.th.Record(trace.KindUncorrectable, addr, uint32(info.ValidCodewords), 0,
-				uint64(info.Corrected), uint64(c.mode), 0)
+				uint64(info.Corrected), uint64(c.cur.mode), 0)
 		}
 		return info, err
-	}
-	if c.scrub && info.corrected() {
-		if serr := c.scrubBlock(addr, line.Data); serr != nil {
-			return info, serr
-		}
-		c.tel.Scrubs.Inc()
-		if c.th.Enabled() {
-			c.th.Record(trace.KindScrub, addr, 0, trace.FlagWrite, 0, uint64(c.mode), 0)
-		}
 	}
 	copy(dst, line.Data)
 	if ierr := c.insert(line); ierr != nil {
@@ -655,134 +589,41 @@ func (c *Controller) ReadInto(dst []byte, addr uint64) (ReadInfo, error) {
 	return info, nil
 }
 
-// fill decodes the DRAM image at addr into a cache line.
+// fill decodes the DRAM image at addr into a cache line, with the scheme
+// that wrote it: the retiring one while the block is migration-pending,
+// else the current one. The counters follow the returned ReadInfo and
+// error alone: a region consultation counts whether or not the decode
+// succeeded, then exactly one of corrected or uncorrectable (or neither).
 func (c *Controller) fill(addr uint64) (cache.Line, ReadInfo, error) {
 	image, present := c.store.get(addr)
 	if !present {
 		// Untouched memory reads as zeros (fresh pages).
 		return cache.Line{Addr: addr, Data: c.getZeroBlock()}, ReadInfo{}, nil
 	}
-	if o := c.old; o != nil {
-		if _, pend := o.pending[addr]; pend {
-			// The image still carries the retiring scheme's encoding.
-			return c.fillOld(addr, image)
-		}
-	}
-	rinfo := ReadInfo{FromDRAM: true}
-	line := cache.Line{Addr: addr}
-	var segMask uint64 // bitmask of corrected code-word segments (COP modes)
-	switch c.mode {
-	case Unprotected:
-		line.Data = c.getBlock()
-		copy(line.Data, image)
-	case COP:
-		// The line needs its own buffer anyway; decode straight into it via
-		// the controller's scratch (CorrectedSegments aliases the scratch,
-		// so only its length is read here).
-		block := c.getBlock()
-		info, err := c.codec.DecodeInto(block, image, c.sc)
-		rinfo.DecodedCompressed = info.Compressed
-		rinfo.ValidCodewords = info.ValidCodewords
-		rinfo.Corrected = len(info.CorrectedSegments)
-		segMask = segmentMask(info.CorrectedSegments)
-		if err != nil {
-			c.tel.UncorrectableErrors.Inc()
-			c.putBlock(block)
-			return cache.Line{}, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		if rinfo.Corrected > 0 {
-			c.tel.CorrectedErrors.Inc()
-		}
-		line.Data = block
-	case COPER:
-		block, info, err := c.er.Read(image)
-		rinfo.DecodedCompressed = info.Compressed
-		rinfo.ValidCodewords = info.ValidCodewords
-		rinfo.CorrectedPointer = info.CorrectedPointer
-		rinfo.RegionAccess = info.RegionAccess
-		if info.CorrectedBlock {
-			rinfo.Corrected = 1
-		}
-		if err != nil {
-			c.tel.UncorrectableErrors.Inc()
-			return cache.Line{}, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		if info.CorrectedBlock || info.CorrectedPointer {
-			c.tel.CorrectedErrors.Inc()
-		}
-		if info.RegionAccess {
-			c.tel.RegionReads.Inc()
-			line.WasUncompressed = true
-			line.Ptr = c.pointerOf(image)
-		}
-		line.Data = block
-	case COPChipkill:
-		block, info, err := c.ck.Read(image)
-		rinfo.DecodedCompressed = !info.RegionAccess
-		rinfo.RegionAccess = info.RegionAccess
-		if info.FailedChip >= 0 || info.CorrectedEntry {
-			rinfo.Corrected = 1
-		}
-		if err != nil {
-			c.tel.UncorrectableErrors.Inc()
-			return cache.Line{}, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		if info.FailedChip >= 0 || info.CorrectedEntry {
-			c.tel.CorrectedErrors.Inc()
-		}
-		if info.RegionAccess {
-			c.tel.RegionReads.Inc()
-			// The hardware latches the pointer during the fill; recover
-			// it from the (already validated) image copies.
-			if ptr, ok := c.ck.PointerOf(image); ok {
-				line.WasUncompressed = true
-				line.Ptr = ptr
-			}
-		}
-		line.Data = block
-	case COPAdaptive:
-		block, _, info, err := c.adaptive.Decode(image)
-		rinfo.DecodedCompressed = info.Compressed
-		rinfo.ValidCodewords = info.ValidCodewords
-		rinfo.Corrected = len(info.CorrectedSegments)
-		segMask = segmentMask(info.CorrectedSegments)
-		if err != nil {
-			c.tel.UncorrectableErrors.Inc()
-			return cache.Line{}, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		if len(info.CorrectedSegments) > 0 {
-			c.tel.CorrectedErrors.Inc()
-		}
-		line.Data = block
-	case ECCRegion:
+	s := c.schemeOf(addr)
+	line := cache.Line{Addr: addr, Data: c.getBlock()}
+	rinfo, ptr, segMask, err := s.decode(line.Data, addr, image)
+	if rinfo.RegionAccess {
 		c.tel.RegionReads.Inc()
-		rinfo.RegionAccess = true
-		block, corrected, err := check523(image, c.regECC[addr])
-		if err != nil {
-			c.tel.UncorrectableErrors.Inc()
-			return cache.Line{}, rinfo, err
-		}
-		if corrected {
-			rinfo.Corrected = 1
-			c.tel.CorrectedErrors.Inc()
-		}
-		line.Data = block
-	case ECCDIMM:
-		block, corrected, err := dimmDecode(image, c.dimmECC[addr])
-		rinfo.Corrected = corrected
-		if err != nil {
-			c.tel.UncorrectableErrors.Inc()
-			return cache.Line{}, rinfo, err
-		}
-		if corrected > 0 {
-			c.tel.CorrectedErrors.Inc()
-		}
-		line.Data = block
+	}
+	if err != nil {
+		c.tel.UncorrectableErrors.Inc()
+		c.putBlock(line.Data)
+		return cache.Line{}, rinfo, err
+	}
+	if rinfo.corrected() {
+		c.tel.CorrectedErrors.Inc()
 	}
 	if rinfo.ValidCodewords > 0 {
 		// COP-family decode verdict: how many of the nine code words had a
 		// zero syndrome (the paper's compressed-vs-raw discriminator).
 		c.tel.ValidCodewords.Observe(uint64(rinfo.ValidCodewords))
+	}
+	if ptr != core.NoPointer {
+		// The hardware latches a raw image's region pointer during the
+		// fill, so the eventual writeback can reuse the entry.
+		line.WasUncompressed = true
+		line.Ptr = ptr
 	}
 	if c.th.Enabled() {
 		var f trace.Flags
@@ -793,30 +634,10 @@ func (c *Controller) fill(addr uint64) (cache.Line, ReadInfo, error) {
 		// model on the functional path — the exporter uses wall time).
 		c.th.Record(trace.KindDRAMRead, addr, uint32(len(image)), f, 0, 0, 0)
 		c.th.Record(trace.KindDecode, addr, uint32(rinfo.ValidCodewords), f,
-			uint64(rinfo.Corrected), uint64(c.mode), segMask)
+			uint64(rinfo.Corrected), uint64(s.mode), segMask)
 	}
 	c.setAliasBit(&line)
 	return line, rinfo, nil
-}
-
-// segmentMask folds the corrected code-word indices into a bitmask for the
-// decode trace record (segments beyond 63 saturate into bit 63).
-func segmentMask(segs []int) uint64 {
-	var m uint64
-	for _, s := range segs {
-		if s > 63 {
-			s = 63
-		}
-		m |= 1 << uint(s)
-	}
-	return m
-}
-
-// pointerOf re-derives the region pointer embedded in a raw COP-ER image
-// (the hardware latches it during the fill; errors were already corrected).
-func (c *Controller) pointerOf(image []byte) uint32 {
-	ptr, _ := c.er.PointerOf(image)
-	return ptr
 }
 
 // Flush drains every dirty LLC line to DRAM (used by experiments to settle
@@ -833,7 +654,7 @@ func (c *Controller) Flush() error {
 			c.putBlock(l.Data)
 			return
 		}
-		if l.Alias && (c.mode == COP || c.mode == COPAdaptive) {
+		if l.Alias {
 			// Alias lines cannot leave the cache+overflow structure
 			// in real hardware; a flush API must either spill them
 			// via the overflow region or fall back (§3.1). The model
@@ -845,7 +666,7 @@ func (c *Controller) Flush() error {
 			c.aliasSpill = append(c.aliasSpill, l)
 			return
 		}
-		if err := c.writebackEvicted(l); err != nil && ferr == nil {
+		if err := c.writeback(l); err != nil && ferr == nil {
 			ferr = err
 		}
 	})
@@ -914,7 +735,7 @@ func (c *Controller) Settle(addr uint64) error {
 		c.putBlock(line.Data)
 		return nil
 	}
-	return c.writebackEvicted(line)
+	return c.writeback(line)
 }
 
 // EverIncompressibleBlocks returns how many distinct blocks were ever
@@ -928,113 +749,6 @@ func copyBlock(b []byte) []byte {
 	out := make([]byte, BlockBytes)
 	copy(out, b)
 	return out
-}
-
-// blockParity523 computes the ECC-region baseline's per-block check bits.
-func blockParity523(block []byte) uint16 {
-	cw := ecc.SECDED523512.Encode(block)
-	pb := bitio.ExtractBits(cw, 512, 11)
-	return uint16(pb[0])<<3 | uint16(pb[1])>>5
-}
-
-// check523 verifies/corrects a raw block against its 11-bit parity.
-func check523(block []byte, parity uint16) ([]byte, bool, error) {
-	cw := make([]byte, ecc.SECDED523512.CodewordBytes())
-	copy(cw, block)
-	var pb [2]byte
-	pb[0] = byte(parity >> 3)
-	pb[1] = byte(parity << 5)
-	bitio.DepositBits(cw, 512, pb[:], 11)
-	res, _ := ecc.SECDED523512.Decode(cw)
-	switch res {
-	case ecc.Corrected:
-		return ecc.SECDED523512.Data(cw), true, nil
-	case ecc.Uncorrectable:
-		return nil, false, ErrUncorrectable
-	default:
-		return copyBlock(block), false, nil
-	}
-}
-
-// dimmCheckBytes computes the ninth-chip contents for one block: one
-// (72,64) check byte per 8-byte word.
-func dimmCheckBytes(block []byte) []byte {
-	out := make([]byte, 8)
-	for w := 0; w < 8; w++ {
-		cw := ecc.SECDED7264.Encode(block[8*w : 8*w+8])
-		out[w] = cw[8]
-	}
-	return out
-}
-
-// dimmDecode verifies/corrects each word of a block.
-func dimmDecode(block, check []byte) ([]byte, int, error) {
-	out := make([]byte, BlockBytes)
-	corrected := 0
-	cw := make([]byte, 9)
-	for w := 0; w < 8; w++ {
-		copy(cw, block[8*w:8*w+8])
-		cw[8] = check[w]
-		res, _ := ecc.SECDED7264.Decode(cw)
-		switch res {
-		case ecc.Corrected:
-			corrected++
-		case ecc.Uncorrectable:
-			return nil, corrected, ErrUncorrectable
-		}
-		copy(out[8*w:], cw[:8])
-	}
-	return out, corrected, nil
-}
-
-// scrubBlock rewrites the clean, just-corrected image for addr so the
-// latent fault is cleared from DRAM.
-func (c *Controller) scrubBlock(addr uint64, data []byte) error {
-	switch c.mode {
-	case Unprotected:
-		return nil // nothing corrects in this mode anyway
-	case COPER:
-		// Re-encode in place, reusing any live entry pointer (Write
-		// frees or updates it as needed). Pointers exist only in raw
-		// images — extracting one from a compressed image would yield
-		// garbage that could collide with another block's live entry.
-		prev := core.NoPointer
-		if old, _ := c.store.get(addr); c.codec.CountValidCodewords(old) < c.codec.Config().Threshold {
-			if ptr, ok := c.er.PointerOf(old); ok && c.er.Region().Valid(ptr) {
-				prev = ptr
-			}
-		}
-		image, _, compressed, err := c.er.Write(data, prev)
-		if err != nil {
-			return err
-		}
-		c.store.set(addr, image)
-		c.kinds[addr] = kindOf(compressed)
-		return nil
-	case COPChipkill:
-		prev := chipkill.NoPointer
-		old, _ := c.store.get(addr)
-		if ptr, ok := c.ck.PointerOf(old); ok && c.ck.Store().Valid(ptr) {
-			prev = ptr
-		}
-		image, _, inline, err := c.ck.Write(data, prev)
-		if err != nil {
-			return err
-		}
-		c.store.set(addr, image)
-		c.kinds[addr] = kindOf(inline)
-		return nil
-	default:
-		if c.mode == ECCRegion || c.mode == ECCDIMM {
-			// Raw-storing encodes take ownership of the data slice; the
-			// caller's buffer is (or becomes) a resident cache line, so
-			// handing it to the store would alias the two — a later
-			// in-place refresh of the line would silently rewrite the
-			// "clean" image out from under its check bits.
-			data = copyBlock(data)
-		}
-		return c.writeback(cache.Line{Addr: addr, Data: data, Dirty: true})
-	}
 }
 
 // ReadBytes reads an arbitrary byte range (crossing block boundaries as
@@ -1114,4 +828,4 @@ func (c *Controller) InjectChipFailure(addr uint64, chip int, pattern byte) bool
 }
 
 // CK exposes the chipkill codec in COPChipkill mode (nil otherwise).
-func (c *Controller) CK() *chipkill.ERCodec { return c.ck }
+func (c *Controller) CK() *chipkill.ERCodec { return c.cur.ck }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"cop/internal/core"
 	"cop/internal/ecc"
+	"cop/internal/trace"
 	"cop/internal/workload"
 )
 
@@ -215,7 +217,7 @@ func TestCOPRawBlocksUnprotected(t *testing.T) {
 	var raw []byte
 	for {
 		raw = randomData(rng)
-		if c.codec.Classify(raw) == 1 { // core.StoredRaw
+		if c.cur.codec.Classify(raw) == 1 { // core.StoredRaw
 			break
 		}
 	}
@@ -370,11 +372,12 @@ func TestInjectBitFlipBounds(t *testing.T) {
 	}
 }
 
-func TestScrubOnCorrectClearsLatentFaults(t *testing.T) {
+func TestScrubBlockClearsLatentFaults(t *testing.T) {
 	// Without scrubbing, two sequential single-bit faults (with a read
-	// between them) accumulate in DRAM and become uncorrectable; with
-	// ScrubOnCorrect the first correction rewrites the image, so the
-	// second fault is again a lone single-bit error.
+	// between them) accumulate in DRAM and become uncorrectable: a demand
+	// read corrects its copy but leaves the image alone. A patrol scrub of
+	// the block rewrites the corrected image, so the second fault is again
+	// a lone single-bit error.
 	rng := rand.New(rand.NewSource(21))
 	// The second fault lands in the same code word as the first: COP's
 	// words are 128 bits (bit 77 shares word 0 with bit 3), the DIMM's
@@ -386,7 +389,7 @@ func TestScrubOnCorrectClearsLatentFaults(t *testing.T) {
 		{COP, 77}, {COPER, 77}, {ECCRegion, 200}, {ECCDIMM, 50},
 	} {
 		run := func(scrub bool) error {
-			c := New(Config{Mode: tc.mode, LLCBytes: 8 * 1024, LLCWays: 4, ScrubOnCorrect: scrub})
+			c := New(Config{Mode: tc.mode, LLCBytes: 8 * 1024, LLCWays: 4})
 			var data []byte
 			if tc.mode == COP {
 				data = compressibleData(rng) // raw COP blocks are unprotected anyway
@@ -397,12 +400,17 @@ func TestScrubOnCorrectClearsLatentFaults(t *testing.T) {
 			if err := c.Flush(); err != nil {
 				return err
 			}
-			// Fault 1, read (correct), evict clean.
+			// Fault 1, read (correct), evict clean, scrub.
 			c.InjectBitFlip(0x9000, 3)
 			if _, err := c.Read(0x9000); err != nil {
 				return err
 			}
 			c.LLC().Evict(0x9000)
+			if scrub {
+				if _, err := c.ScrubBlock(0x9000); err != nil {
+					return err
+				}
+			}
 			// Fault 2 in the same code word.
 			c.InjectBitFlip(0x9000, tc.bit2)
 			got, err := c.Read(0x9000)
@@ -427,23 +435,80 @@ func TestScrubOnCorrectClearsLatentFaults(t *testing.T) {
 	}
 }
 
+// TestScrubStatsCounted: a corrected scrub rewrites the image through
+// the one writeback path, so in every scheme it counts one scrub, one
+// writeback, one stored image, and a region access exactly when the
+// rewritten image is region-backed, and traces the image write.
 func TestScrubStatsCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	c := New(Config{Mode: COP, LLCBytes: 8 * 1024, LLCWays: 4, ScrubOnCorrect: true})
-	c.Write(0xA000, compressibleData(rng))
-	c.Flush()
-	c.InjectBitFlip(0xA000, 10)
-	if _, err := c.Read(0xA000); err != nil {
-		t.Fatal(err)
-	}
-	if c.Snapshot().Controller.Scrubs != 1 {
-		t.Fatalf("scrubs = %d, want 1", c.Snapshot().Controller.Scrubs)
+	for _, m := range allModes {
+		for _, compressible := range []bool{true, false} {
+			tr := trace.New(trace.Config{})
+			c := New(Config{Mode: m, LLCBytes: 8 * 1024, LLCWays: 4, Tracer: tr})
+			d := randomData(rng)
+			if compressible {
+				d = compressibleData(rng)
+			}
+			c.Write(0xA000, d)
+			c.Flush()
+			if (m == COP || m == COPAdaptive) && c.StoredKind(0xA000) == StoredKindRaw {
+				continue // raw COP blocks are unprotected: nothing to correct
+			}
+			if m == COPChipkill {
+				c.InjectChipFailure(0xA000, 5, 0xFF)
+			} else {
+				c.InjectBitFlip(0xA000, 10)
+			}
+			before := c.Snapshot().Controller
+			tr.Start()
+			scanned, err := c.ScrubBlock(0xA000)
+			tr.Stop()
+			if err != nil || !scanned {
+				t.Fatalf("%v: scrub scanned=%v err=%v", m, scanned, err)
+			}
+			after := c.Snapshot().Controller
+			if m == Unprotected {
+				if after.Scrubs != 0 || after.Writebacks != before.Writebacks {
+					t.Fatalf("%v: scrubbed an unprotected block: %+v", m, after)
+				}
+				continue
+			}
+			if after.Scrubs != 1 {
+				t.Fatalf("%v: scrubs = %d, want 1", m, after.Scrubs)
+			}
+			wantRegion := uint64(0)
+			if m == ECCRegion || (c.StoredKind(0xA000) == StoredKindRaw && (m == COPER || m == COPChipkill)) {
+				wantRegion = 1
+			}
+			if got := after.Writebacks - before.Writebacks; got != 1 {
+				t.Errorf("%v: scrub counted %d writebacks, want 1", m, got)
+			}
+			if got := after.StoredCompressed + after.StoredRaw - before.StoredCompressed - before.StoredRaw; got != 1 {
+				t.Errorf("%v: scrub counted %d stored images, want 1", m, got)
+			}
+			if got := after.RegionReads - before.RegionReads; got != wantRegion {
+				t.Errorf("%v: scrub counted %d region accesses, want %d", m, got, wantRegion)
+			}
+			traced := map[trace.Kind]bool{}
+			for _, r := range tr.Snapshot() {
+				if r.Addr == 0xA000 {
+					traced[r.Kind] = true
+				}
+			}
+			if !traced[trace.KindEncode] || !traced[trace.KindDRAMWrite] || !traced[trace.KindScrub] {
+				t.Errorf("%v: scrub traced encode %v, dram-write %v, scrub %v", m,
+					traced[trace.KindEncode], traced[trace.KindDRAMWrite], traced[trace.KindScrub])
+			}
+			if got, err := c.Read(0xA000); err != nil || !bytes.Equal(got, d) {
+				t.Fatalf("%v: read after scrub: %v", m, err)
+			}
+		}
 	}
 }
 
 func TestScrubCOPERPreservesEntryAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	c := New(Config{Mode: COPER, LLCBytes: 8 * 1024, LLCWays: 4, ScrubOnCorrect: true})
+	c := New(Config{Mode: COPER, LLCBytes: 8 * 1024, LLCWays: 4})
 	data := randomData(rng)
 	c.Write(0xB000, data)
 	if err := c.Flush(); err != nil {
@@ -451,12 +516,22 @@ func TestScrubCOPERPreservesEntryAccounting(t *testing.T) {
 	}
 	before := c.ER().Region().Telemetry().Live
 	c.InjectBitFlip(0xB000, 200)
+	if _, err := c.ScrubBlock(0xB000); err != nil {
+		t.Fatal(err)
+	}
 	got, err := c.Read(0xB000)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("scrubbed read: %v", err)
 	}
 	if after := c.ER().Region().Telemetry().Live; after != before {
 		t.Fatalf("scrub leaked region entries: %d -> %d", before, after)
+	}
+	// The scrub rewrote a clean image: a second fault in the block's
+	// (523,512) code word must also correct.
+	c.LLC().Evict(0xB000)
+	c.InjectBitFlip(0xB000, 300)
+	if got, err := c.Read(0xB000); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("second fault after scrub: %v", err)
 	}
 }
 
@@ -631,7 +706,7 @@ func TestChipFailureKillsOtherModes(t *testing.T) {
 
 func TestChipkillModeEntryReuseViaScrub(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	c := New(Config{Mode: COPChipkill, LLCBytes: 8 * 1024, LLCWays: 4, ScrubOnCorrect: true})
+	c := New(Config{Mode: COPChipkill, LLCBytes: 8 * 1024, LLCWays: 4})
 	d := randomData(rng)
 	c.Write(0xF000, d)
 	if err := c.Flush(); err != nil {
@@ -639,6 +714,9 @@ func TestChipkillModeEntryReuseViaScrub(t *testing.T) {
 	}
 	before := c.CK().Store().Telemetry().Live
 	c.InjectChipFailure(0xF000, 5, 0xFF)
+	if _, err := c.ScrubBlock(0xF000); err != nil {
+		t.Fatal(err)
+	}
 	got, err := c.Read(0xF000)
 	if err != nil || !bytes.Equal(got, d) {
 		t.Fatalf("scrubbed chip-failure read: %v", err)
@@ -697,9 +775,9 @@ func TestOverflowPromotionWritesBackDirtyVictim(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	// 2 ways × 2 sets: addresses 0x0, 0x80, 0x100 all map to set 0.
 	c := New(Config{Mode: COP, LLCBytes: 2 * 2 * BlockBytes, LLCWays: 2})
-	a0 := aliasData(rng, c.codec)
-	a1 := aliasData(rng, c.codec)
-	a2 := aliasData(rng, c.codec)
+	a0 := aliasData(rng, c.cur.codec)
+	a1 := aliasData(rng, c.cur.codec)
+	a2 := aliasData(rng, c.cur.codec)
 
 	// Fill set 0 with aliases, then overflow it: a0 spills.
 	mustWrite(t, c, 0x000, a0)
@@ -852,6 +930,71 @@ func TestReadWithInfoRegionAccess(t *testing.T) {
 	}
 	if !info.RegionAccess || info.DecodedCompressed {
 		t.Fatalf("raw COP-ER info: %+v", info)
+	}
+}
+
+// TestReadCountersFollowReadInfo pins the fill's one counter rule in every
+// scheme: a settled read moves region_reads, corrected_errors,
+// uncorrectable_errors and the valid-code-word count by exactly what its
+// ReadInfo and error report. A region consultation counts whether or not
+// the decode succeeded.
+func TestReadCountersFollowReadInfo(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	one := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	failedAfterRegion := 0
+	for _, m := range allModes {
+		for _, compressible := range []bool{true, false} {
+			for faults := 0; faults <= 2; faults++ {
+				name := fmt.Sprintf("%v/compressible=%v/faults=%d", m, compressible, faults)
+				c := newCtrl(m)
+				d := randomData(rng)
+				if compressible {
+					d = compressibleData(rng)
+				}
+				const addr = 0x2000
+				mustWrite(t, c, addr, d)
+				if err := c.Settle(addr); err != nil {
+					t.Fatal(err)
+				}
+				for f := 0; f < faults; f++ {
+					if m == COPChipkill {
+						c.InjectChipFailure(addr, 1+4*f, 0xA5)
+					} else {
+						c.InjectBitFlip(addr, 20+57*f) // bits 20 and 77: one COP code word
+					}
+				}
+				before := c.Snapshot().Controller
+				_, info, err := c.ReadWithInfo(addr)
+				after := c.Snapshot().Controller
+				if !info.FromDRAM {
+					t.Fatalf("%s: read did not decode DRAM: %+v", name, info)
+				}
+				for _, k := range []struct {
+					counter   string
+					got, want uint64
+				}{
+					{"region_reads", after.RegionReads - before.RegionReads, one(info.RegionAccess)},
+					{"corrected_errors", after.CorrectedErrors - before.CorrectedErrors, one(err == nil && info.corrected())},
+					{"uncorrectable_errors", after.UncorrectableErrors - before.UncorrectableErrors, one(err != nil)},
+					{"valid_codewords", after.ValidCodewords.Count - before.ValidCodewords.Count, one(err == nil && info.ValidCodewords > 0)},
+				} {
+					if k.got != k.want {
+						t.Errorf("%s: %s moved by %d, want %d (info %+v, err %v)", name, k.counter, k.got, k.want, info, err)
+					}
+				}
+				if info.RegionAccess && err != nil {
+					failedAfterRegion++
+				}
+			}
+		}
+	}
+	if failedAfterRegion == 0 {
+		t.Fatal("no read failed after consulting the region: the rule's hard case went untested")
 	}
 }
 

@@ -11,87 +11,41 @@ import (
 
 // This file is the controller half of live scheme migration (ROADMAP item
 // 3): switching a populated memory between protection schemes without
-// losing or quiescing its contents. BeginMigration swaps the encode/decode
-// machinery and remembers the retiring scheme; every resident DRAM image
-// stays readable under the scheme that wrote it until it is re-encoded —
-// eagerly, in bounded MigrateChunk steps, or for free when a writeback
-// stores the block under the new scheme. The scrubber (ScrubBlock) and the
-// resharding block mover (DecodeResident) share the same per-block
-// machinery selection.
+// losing or quiescing its contents. BeginMigration builds the new scheme
+// and keeps the retiring one; every resident DRAM image stays readable
+// under the scheme that wrote it until it is re-encoded — eagerly, in
+// bounded MigrateChunk steps, or for free when a writeback stores the
+// block under the new scheme. The fill, the scrubber (ScrubBlock), the
+// conversion walk and the resharding block mover (DecodeResident) all
+// decode a block with the one decode of the scheme that wrote it.
 
-// oldScheme is the retiring scheme's decode machinery plus the set of DRAM
-// images still encoded under it. COP-ER and chipkill machinery never
-// appears here — see migratable.
+// oldScheme is the retiring scheme plus the set of DRAM images still
+// encoded under it. It is never COP-ER or chipkill — see migratable.
 type oldScheme struct {
-	mode     Mode
-	codec    *core.Codec
-	sc       *core.CodecScratch
-	adaptive *core.AdaptiveCodec
-	dimmECC  map[uint64][]byte
-	regECC   map[uint64]uint16
+	*scheme
 
 	pending map[uint64]struct{} // images still old-encoded
 	queue   []uint64            // ascending conversion order
 	qpos    int
 }
 
-// decode decodes an old-encoded image with the retiring scheme's
-// machinery, with no telemetry side effects — callers attribute the scan
-// to the read path or the scrub path.
-func (o *oldScheme) decode(addr uint64, image []byte) ([]byte, ReadInfo, error) {
-	rinfo := ReadInfo{FromDRAM: true}
-	switch o.mode {
-	case Unprotected:
-		return copyBlock(image), rinfo, nil
-	case COP:
-		block := make([]byte, BlockBytes)
-		info, err := o.codec.DecodeInto(block, image, o.sc)
-		rinfo.DecodedCompressed = info.Compressed
-		rinfo.ValidCodewords = info.ValidCodewords
-		rinfo.Corrected = len(info.CorrectedSegments)
-		if err != nil {
-			return nil, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		return block, rinfo, nil
-	case COPAdaptive:
-		block, _, info, err := o.adaptive.Decode(image)
-		rinfo.DecodedCompressed = info.Compressed
-		rinfo.ValidCodewords = info.ValidCodewords
-		rinfo.Corrected = len(info.CorrectedSegments)
-		if err != nil {
-			return nil, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		return block, rinfo, nil
-	case ECCRegion:
-		rinfo.RegionAccess = true
-		block, corrected, err := check523(image, o.regECC[addr])
-		if err != nil {
-			return nil, rinfo, err
-		}
-		if corrected {
-			rinfo.Corrected = 1
-		}
-		return block, rinfo, nil
-	case ECCDIMM:
-		block, corrected, err := dimmDecode(image, o.dimmECC[addr])
-		rinfo.Corrected = corrected
-		if err != nil {
-			return nil, rinfo, err
-		}
-		return block, rinfo, nil
+// schemeOf returns the scheme that encoded addr's DRAM image: the retiring
+// one while the block is migration-pending, else the current one.
+func (c *Controller) schemeOf(addr uint64) *scheme {
+	if c.isPending(addr) {
+		return c.old.scheme
 	}
-	return nil, rinfo, fmt.Errorf("memctrl: cannot decode retiring scheme %v", o.mode)
+	return c.cur
 }
 
-// dropEntry discards the retiring scheme's side-table entries for a block
-// whose image has been re-encoded (or superseded) under the new scheme.
-func (o *oldScheme) dropEntry(addr uint64) {
-	if o.dimmECC != nil {
-		delete(o.dimmECC, addr)
+// isPending reports whether addr's DRAM image still carries the retiring
+// scheme's encoding.
+func (c *Controller) isPending(addr uint64) bool {
+	if c.old == nil {
+		return false
 	}
-	if o.regECC != nil {
-		delete(o.regECC, addr)
-	}
+	_, pend := c.old.pending[addr]
+	return pend
 }
 
 // migratable reports whether a scheme can be an endpoint of a live
@@ -120,8 +74,8 @@ func (c *Controller) MigrationPending() int {
 
 // BeginMigration switches the controller to a new protection scheme while
 // keeping every resident block decodable: images encoded under the
-// retiring scheme are tracked and decoded with its machinery until they
-// are re-encoded by MigrateChunk or by an ordinary writeback. copCfg
+// retiring scheme are tracked and decoded with it until they are
+// re-encoded by MigrateChunk or by an ordinary writeback. copCfg
 // parameterizes COP-family targets (zero value means core.NewConfig4()).
 // The caller serializes this with traffic exactly like any other access;
 // the sharded front-ends drain the shard first so pauses stay bounded.
@@ -130,18 +84,13 @@ func (c *Controller) BeginMigration(to Mode, copCfg core.Config) error {
 		return fmt.Errorf("memctrl: migration already in progress (%d blocks pending)",
 			len(c.old.pending))
 	}
-	if !migratable(c.mode) || !migratable(to) {
-		return fmt.Errorf("memctrl: cannot migrate %v -> %v", c.mode, to)
+	if !migratable(c.cur.mode) || !migratable(to) {
+		return fmt.Errorf("memctrl: cannot migrate %v -> %v", c.cur.mode, to)
 	}
 	o := &oldScheme{
-		mode:     c.mode,
-		codec:    c.codec,
-		sc:       c.sc,
-		adaptive: c.adaptive,
-		dimmECC:  c.dimmECC,
-		regECC:   c.regECC,
-		pending:  make(map[uint64]struct{}, c.store.len()),
-		queue:    make([]uint64, 0, c.store.len()),
+		scheme:  c.cur,
+		pending: make(map[uint64]struct{}, c.store.len()),
+		queue:   make([]uint64, 0, c.store.len()),
 	}
 	for _, addr := range c.store.keys(nil) {
 		o.pending[addr] = struct{}{}
@@ -149,23 +98,7 @@ func (c *Controller) BeginMigration(to Mode, copCfg core.Config) error {
 	}
 	sort.Slice(o.queue, func(i, j int) bool { return o.queue[i] < o.queue[j] })
 
-	c.mode = to
-	c.codec, c.sc, c.adaptive = nil, nil, nil
-	c.dimmECC, c.regECC = nil, nil
-	if copCfg.Code == nil {
-		copCfg = core.NewConfig4()
-	}
-	switch to {
-	case COP:
-		c.codec = core.NewCodec(copCfg)
-		c.sc = c.codec.NewScratch()
-	case COPAdaptive:
-		c.adaptive = core.NewAdaptiveCodec()
-	case ECCRegion:
-		c.regECC = map[uint64]uint16{}
-	case ECCDIMM:
-		c.dimmECC = map[uint64][]byte{}
-	}
+	c.cur = newScheme(to, copCfg)
 	c.old = o
 
 	// Re-classify resident lines: alias pinning is a property of the
@@ -235,7 +168,8 @@ func (c *Controller) convertOne(addr uint64) error {
 		return nil
 	}
 	c.tel.ScrubScans.Inc()
-	data, rinfo, err := o.decode(addr, image)
+	data := make([]byte, BlockBytes)
+	rinfo, _, _, err := o.decode(data, addr, image)
 	if err != nil {
 		c.tel.UncorrectableErrors.Inc()
 		c.tel.ScrubUncorrectable.Inc()
@@ -245,8 +179,7 @@ func (c *Controller) convertOne(addr uint64) error {
 	if rinfo.corrected() {
 		c.tel.ScrubCorrected.Inc()
 	}
-	if (c.mode == COP && c.codec.WouldReject(data)) ||
-		(c.mode == COPAdaptive && c.adaptive.WouldReject(data)) {
+	if c.cur.wouldReject(data) {
 		// Incompressible alias under the new scheme: the block cannot
 		// live in DRAM, so pin it in the LLC (mirroring the writeback
 		// RejectedAlias path) and drop the old image.
@@ -276,15 +209,14 @@ func (c *Controller) convertOne(addr uint64) error {
 // there is nothing to scrub (no image, or the image is stale under a dirty
 // LLC line). Corrections found here count as corrected-on-scrub
 // (ScrubCorrected), never as corrected-on-read; an undecodable image
-// counts ScrubUncorrectable and returns the error. During a migration a
-// pending block is scrubbed by converting it — scrubbing and migrating are
-// the same walk.
+// counts ScrubUncorrectable and returns the error. A corrected image is
+// rewritten through writeback, so it counts like any other image write.
+// During a migration a pending block is scrubbed by converting it —
+// scrubbing and migrating are the same walk.
 func (c *Controller) ScrubBlock(addr uint64) (scanned bool, err error) {
 	addr = align(addr)
-	if o := c.old; o != nil {
-		if _, pend := o.pending[addr]; pend {
-			return true, c.convertOne(addr)
-		}
+	if c.isPending(addr) {
+		return true, c.convertOne(addr)
 	}
 	image, ok := c.store.get(addr)
 	if !ok {
@@ -294,129 +226,33 @@ func (c *Controller) ScrubBlock(addr uint64) (scanned bool, err error) {
 		return false, nil // stale image; the writeback will rewrite it
 	}
 	c.tel.ScrubScans.Inc()
-	data, rinfo, err := c.decodeCurrent(addr, image)
+	data := c.getBlock()
+	rinfo, ptr, _, err := c.cur.decode(data, addr, image)
 	if err != nil {
+		c.putBlock(data)
 		c.tel.ScrubUncorrectable.Inc()
 		return true, err
 	}
 	if !rinfo.corrected() {
+		c.putBlock(data)
 		return true, nil
 	}
 	c.tel.ScrubCorrected.Inc()
-	if err := c.scrubBlock(addr, data); err != nil {
+	// The rewrite reuses a raw image's region entry through the pointer
+	// the decode latched, exactly as a fill's eventual writeback does.
+	line := cache.Line{Addr: addr, Data: data, Dirty: true}
+	if ptr != core.NoPointer {
+		line.WasUncompressed = true
+		line.Ptr = ptr
+	}
+	if err := c.writeback(line); err != nil {
 		return true, err
 	}
 	c.tel.Scrubs.Inc()
 	if c.th.Enabled() {
-		c.th.Record(trace.KindScrub, addr, 0, trace.FlagWrite, 0, uint64(c.mode), 0)
+		c.th.Record(trace.KindScrub, addr, 0, trace.FlagWrite, 0, uint64(c.cur.mode), 0)
 	}
 	return true, nil
-}
-
-// decodeCurrent decodes a DRAM image with the current scheme's machinery,
-// with no controller-level telemetry side effects — the scrub and
-// resharding paths account for their own scans.
-func (c *Controller) decodeCurrent(addr uint64, image []byte) ([]byte, ReadInfo, error) {
-	rinfo := ReadInfo{FromDRAM: true}
-	switch c.mode {
-	case Unprotected:
-		return copyBlock(image), rinfo, nil
-	case COP:
-		block := make([]byte, BlockBytes)
-		info, err := c.codec.DecodeInto(block, image, c.sc)
-		rinfo.DecodedCompressed = info.Compressed
-		rinfo.ValidCodewords = info.ValidCodewords
-		rinfo.Corrected = len(info.CorrectedSegments)
-		if err != nil {
-			return nil, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		return block, rinfo, nil
-	case COPER:
-		block, info, err := c.er.Read(image)
-		rinfo.DecodedCompressed = info.Compressed
-		rinfo.ValidCodewords = info.ValidCodewords
-		rinfo.CorrectedPointer = info.CorrectedPointer
-		rinfo.RegionAccess = info.RegionAccess
-		if info.CorrectedBlock {
-			rinfo.Corrected = 1
-		}
-		if err != nil {
-			return nil, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		return block, rinfo, nil
-	case COPChipkill:
-		block, info, err := c.ck.Read(image)
-		rinfo.DecodedCompressed = !info.RegionAccess
-		rinfo.RegionAccess = info.RegionAccess
-		if info.FailedChip >= 0 || info.CorrectedEntry {
-			rinfo.Corrected = 1
-		}
-		if err != nil {
-			return nil, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		return block, rinfo, nil
-	case COPAdaptive:
-		block, _, info, err := c.adaptive.Decode(image)
-		rinfo.DecodedCompressed = info.Compressed
-		rinfo.ValidCodewords = info.ValidCodewords
-		rinfo.Corrected = len(info.CorrectedSegments)
-		if err != nil {
-			return nil, rinfo, fmt.Errorf("%w: %v", ErrUncorrectable, err)
-		}
-		return block, rinfo, nil
-	case ECCRegion:
-		rinfo.RegionAccess = true
-		block, corrected, err := check523(image, c.regECC[addr])
-		if err != nil {
-			return nil, rinfo, err
-		}
-		if corrected {
-			rinfo.Corrected = 1
-		}
-		return block, rinfo, nil
-	case ECCDIMM:
-		block, corrected, err := dimmDecode(image, c.dimmECC[addr])
-		rinfo.Corrected = corrected
-		if err != nil {
-			return nil, rinfo, err
-		}
-		return block, rinfo, nil
-	}
-	return nil, rinfo, fmt.Errorf("memctrl: cannot decode scheme %v", c.mode)
-}
-
-// fillOld decodes a not-yet-migrated DRAM image with the retiring
-// scheme's machinery, applying the read path's usual counters. The line
-// is classified (alias bit) under the current scheme; COP-ER-style region
-// hints are never carried over — they would point into the retiring
-// scheme's tables.
-func (c *Controller) fillOld(addr uint64, image []byte) (cache.Line, ReadInfo, error) {
-	o := c.old
-	data, rinfo, err := o.decode(addr, image)
-	if rinfo.RegionAccess {
-		c.tel.RegionReads.Inc()
-	}
-	if err != nil {
-		c.tel.UncorrectableErrors.Inc()
-		return cache.Line{}, rinfo, err
-	}
-	if rinfo.corrected() {
-		c.tel.CorrectedErrors.Inc()
-	}
-	if rinfo.ValidCodewords > 0 {
-		c.tel.ValidCodewords.Observe(uint64(rinfo.ValidCodewords))
-	}
-	if c.th.Enabled() {
-		var f trace.Flags
-		if rinfo.DecodedCompressed {
-			f |= trace.FlagCompressed
-		}
-		c.th.Record(trace.KindDecode, addr, uint32(rinfo.ValidCodewords), f,
-			uint64(rinfo.Corrected), uint64(o.mode), 0)
-	}
-	line := cache.Line{Addr: addr, Data: data}
-	c.setAliasBit(&line)
-	return line, rinfo, nil
 }
 
 // AppendDRAMAddrs appends the block address of every resident DRAM image
@@ -463,14 +299,11 @@ func (c *Controller) DecodeResident(addr uint64) (data []byte, ok bool, err erro
 	if !found {
 		return nil, false, nil
 	}
-	if o := c.old; o != nil {
-		if _, pend := o.pending[addr]; pend {
-			data, _, err := o.decode(addr, image)
-			return data, true, err
-		}
+	data = make([]byte, BlockBytes)
+	if _, _, _, err := c.schemeOf(addr).decode(data, addr, image); err != nil {
+		return nil, true, err
 	}
-	data, _, err = c.decodeCurrent(addr, image)
-	return data, true, err
+	return data, true, nil
 }
 
 // DumpDRAM returns a copy of every resident DRAM image keyed by block
