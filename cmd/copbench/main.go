@@ -65,7 +65,7 @@ func run(args []string, stdout io.Writer) error {
 		fWorkers = cli.WorkersFlag(fs, "fault-workers", "concurrent campaign workers over disjoint footprint slices")
 		fLoad    = cli.WorkloadFlag(fs, "fault-workload", "gcc", "workload profile populating the footprint")
 		telAddr  = cli.TelemetryAddrFlag(fs)
-		traceOut = cli.TraceOutFlag(fs, "write a Chrome trace-event JSON execution trace here "+
+		traceOut = fs.String("trace-out", "", "write a Chrome trace-event JSON execution trace here "+
 			"(alone: run the traced demo workload; with -faults: trace the campaign, black-box dumps land beside it)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -122,6 +122,9 @@ func TestFaultsMode(t *testing.T) {
 	if err := run([]string{"-faults", "-fault-seed", "zzz"}, &sb); err == nil {
 		t.Fatal("bad seed should error")
 	}
+	if err := run([]string{"-faults", "-fault-workload", "nope"}, &sb); err == nil {
+		t.Fatal("unknown workload should error")
+	}
 }
 
 func TestChartFormat(t *testing.T) {

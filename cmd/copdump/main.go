@@ -1,6 +1,6 @@
 // Command copdump reads execution-trace artifacts: the binary black-box
-// dumps the flight recorder cuts on an anomaly (copbench/copfault
-// -trace-out, /trace.bin) and, with -check, Chrome trace-event JSON too.
+// dumps the flight recorder cuts on an anomaly (copbench -trace-out,
+// /trace.bin) and, with -check, Chrome trace-event JSON too.
 //
 // Usage:
 //

@@ -4,7 +4,7 @@
 //
 // Terminology: a *workload trace* (this command) is an input — the
 // addresses and block contents a benchmark would drive through the model.
-// An *execution trace* (copbench/copfault -trace-out, cmd/copdump,
+// An *execution trace* (copbench -trace-out, cmd/copdump,
 // internal/trace) is an output — the flight-recorder record of what the
 // hierarchy did while serving those accesses. They share nothing but the
 // word "trace".

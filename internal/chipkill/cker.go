@@ -54,6 +54,11 @@ type ERInfo struct {
 	UsedCopyB bool
 	// CorrectedEntry is set when the entry's SECDED repaired a fault.
 	CorrectedEntry bool
+	// Ptr is the region pointer whose entry the read used (NoPointer for
+	// an inline block). A chip failure can decode copy A to another live
+	// pointer while the block verifies through copy B; Ptr is then copy
+	// B's pointer.
+	Ptr uint32
 }
 
 // ErrUnrecoverable is returned when no pointer copy or failure hypothesis
@@ -240,6 +245,7 @@ func (er *ERCodec) Read(image []byte) (block []byte, info ERInfo, err error) {
 		panic("chipkill: ERCodec.Read: image must be 64 bytes")
 	}
 	info.FailedChip = -1
+	info.Ptr = NoPointer
 	// Inline path first: the compressed detector is unchanged.
 	if er.ck.looksProtected(image) {
 		b, ckInfo, derr := er.ck.Decode(image)
@@ -281,6 +287,7 @@ func (er *ERCodec) Read(image []byte) (block []byte, info ERInfo, err error) {
 		if chipParity(original) == parity && crc16(original) == crc {
 			info.UsedCopyB = c.copyB
 			info.CorrectedEntry = corrected
+			info.Ptr = c.ptr
 			return original, info, nil
 		}
 		// Hypothesize each failed chip and reconstruct it from parity.
@@ -300,28 +307,10 @@ func (er *ERCodec) Read(image []byte) (block []byte, info ERInfo, err error) {
 				info.FailedChip = chip
 				info.UsedCopyB = c.copyB
 				info.CorrectedEntry = corrected
+				info.Ptr = c.ptr
 				return fixed, info, nil
 			}
 		}
 	}
 	return nil, info, ErrUnrecoverable
-}
-
-// PointerOf recovers the region pointer embedded in a raw COP-CK-ER image
-// (copy A first, copy B as fallback). ok is false when neither copy
-// decodes — or when the image is an inline-protected block, which carries
-// no pointer.
-func (er *ERCodec) PointerOf(image []byte) (uint32, bool) {
-	if er.ck.looksProtected(image) {
-		return 0, false
-	}
-	if p, ok := er.decodePtr(image, er.copyA); ok {
-		if er.store.Valid(p) {
-			return p, true
-		}
-	}
-	if p, ok := er.decodePtr(image, er.copyB); ok && er.store.Valid(p) {
-		return p, true
-	}
-	return 0, false
 }

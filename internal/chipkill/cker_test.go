@@ -270,7 +270,7 @@ func TestERQuickArbitraryBlocks(t *testing.T) {
 	}
 }
 
-func TestERPointerOf(t *testing.T) {
+func TestERReadPtr(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	er := NewER()
 	b := incompressibleCK(rng, er)
@@ -278,13 +278,12 @@ func TestERPointerOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := er.PointerOf(img)
-	if !ok || got != ptr {
-		t.Fatalf("PointerOf = (%d,%v), want (%d,true)", got, ok, ptr)
+	if _, info, err := er.Read(img); err != nil || info.Ptr != ptr {
+		t.Fatalf("Read Ptr = (%d,%v), want (%d,nil)", info.Ptr, err, ptr)
 	}
 	// Inline images carry no pointer.
 	inlineImg, _, _, _ := er.Write(pointerBlock(rng), NoPointer)
-	if _, ok := er.PointerOf(inlineImg); ok {
-		t.Fatal("inline image yielded a pointer")
+	if _, info, err := er.Read(inlineImg); err != nil || info.Ptr != NoPointer {
+		t.Fatalf("inline image read Ptr = (%d,%v), want NoPointer", info.Ptr, err)
 	}
 }

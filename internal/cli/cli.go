@@ -1,8 +1,8 @@
 // Package cli is the flag vocabulary shared by the cop binaries
-// (copbench, copfault, coptrace): one scheme-name registry, one seed
-// syntax, one set of spellings and defaults for the workload, worker, and
-// telemetry-server flags — so names and semantics cannot drift between
-// binaries.
+// (copbench, copload, copserve, coptrace): one scheme-name registry, one
+// seed syntax, one set of spellings and defaults for the workload,
+// worker, and telemetry-server flags — so names and semantics cannot
+// drift between binaries.
 package cli
 
 import (
@@ -207,13 +207,6 @@ func WorkersFlag(fs *flag.FlagSet, name, usage string) *int {
 func TelemetryAddrFlag(fs *flag.FlagSet) *string {
 	return fs.String("telemetry-addr", "",
 		"serve /metrics, /snapshot, /debug/vars, and /debug/pprof on this address (e.g. :8080; empty: disabled)")
-}
-
-// TraceOutFlag defines the -trace-out flag shared by copbench and
-// copfault: a Chrome-trace-event JSON destination for the execution
-// flight recorder (empty: tracing disabled).
-func TraceOutFlag(fs *flag.FlagSet, usage string) *string {
-	return fs.String("trace-out", "", usage)
 }
 
 // ServeTelemetry starts the observability server on addr, serving reg

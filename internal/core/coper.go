@@ -44,6 +44,9 @@ type ERReadInfo struct {
 	CorrectedBlock bool
 	// ValidCodewords is the decoder's code word count.
 	ValidCodewords int
+	// Ptr is the ECC-region pointer whose entry the read used (NoPointer
+	// for a compressed block, or when the pointer word is uncorrectable).
+	Ptr uint32
 }
 
 // ErrRegion wraps ECC-region failures surfaced during reads.
@@ -176,14 +179,9 @@ func (er *ERCodec) Write(block []byte, prevPtr uint32) (image []byte, ptr uint32
 	return er.imageWithPointer(block, p), p, false, nil
 }
 
-// PointerOf extracts (and single-error-corrects) the ECC-region pointer
+// pointerOf extracts (and single-error-corrects) the ECC-region pointer
 // embedded in a raw COP-ER image. ok is false when the pointer word is
 // uncorrectable.
-func (er *ERCodec) PointerOf(image []byte) (ptr uint32, ok bool) {
-	ptr, _, ok = er.pointerOf(image)
-	return ptr, ok
-}
-
 func (er *ERCodec) pointerOf(image []byte) (ptr uint32, corrected, ok bool) {
 	ptrCW := make([]byte, er.ptrCode.CodewordBytes())
 	for i, p := range er.ptrPos {
@@ -203,6 +201,7 @@ func (er *ERCodec) Read(image []byte) (block []byte, info ERReadInfo, err error)
 	if len(image) != BlockBytes {
 		panic("core: ERCodec.Read: image must be 64 bytes")
 	}
+	info.Ptr = NoPointer
 	valid := er.codec.CountValidCodewords(image)
 	info.ValidCodewords = valid
 	if valid >= er.codec.cfg.Threshold {
@@ -225,6 +224,7 @@ func (er *ERCodec) Read(image []byte) (block []byte, info ERReadInfo, err error)
 	if rerr != nil {
 		return nil, info, fmt.Errorf("%w: %v", ErrRegion, rerr)
 	}
+	info.Ptr = ptr
 
 	original := make([]byte, BlockBytes)
 	copy(original, image)

@@ -282,7 +282,7 @@ func TestERManyBlocksSharedRegion(t *testing.T) {
 	}
 }
 
-func TestERPointerOfPublic(t *testing.T) {
+func TestERReadPtrPublic(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	er := NewERCodec(NewConfig4())
 	b := incompressibleBlock(rng, er.Codec())
@@ -290,16 +290,15 @@ func TestERPointerOfPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := er.PointerOf(image)
-	if !ok || got != ptr {
-		t.Fatalf("PointerOf = (%d,%v), want (%d,true)", got, ok, ptr)
+	if _, info, err := er.Read(image); err != nil || info.Ptr != ptr {
+		t.Fatalf("Read Ptr = (%d,%v), want (%d,nil)", info.Ptr, err, ptr)
 	}
 	// Single bit flip in a pointer position still resolves.
 	corrupted := append([]byte(nil), image...)
 	bitio.FlipBit(corrupted, er.ptrPos[5])
-	got, ok = er.PointerOf(corrupted)
-	if !ok || got != ptr {
-		t.Fatalf("PointerOf after flip = (%d,%v)", got, ok)
+	_, info, err := er.Read(corrupted)
+	if err != nil || info.Ptr != ptr || !info.CorrectedPointer {
+		t.Fatalf("Read after flip = (Ptr %d, corrected %v, %v)", info.Ptr, info.CorrectedPointer, err)
 	}
 }
 

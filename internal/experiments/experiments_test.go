@@ -504,6 +504,13 @@ func TestChipFailShape(t *testing.T) {
 	if cell(t, ck[4]) != 0 {
 		t.Fatalf("COP-CK-ER silent rate %s under chip failures", ck[4])
 	}
+	// Samples/4 blocks, one chip failure each: COP-CK-ER corrects them all.
+	if got := cell(t, ck[1]); got != 128 {
+		t.Fatalf("COP-CK-ER corrected %v of 128 chip failures", got)
+	}
+	if cop := row(t, r, "COP"); cell(t, cop[4]) == 0 {
+		t.Fatal("plain COP should not survive chip failures")
+	}
 	unprot := row(t, r, "Unprotected")
 	if cell(t, unprot[4]) != 100 {
 		t.Fatalf("unprotected silent rate %s", unprot[4])

@@ -2,8 +2,11 @@
 // campaign engine over the live memory hierarchy. It corrupts DRAM images
 // mid-simulation according to the Sridharan & Liberty field failure modes
 // (internal/reliability): single-bit flips, multi-bit bursts within one
-// word, and structural row / column / bank failures whose blast radius
-// comes from the physical geometry in internal/dram. Every affected block
+// word, structural row / column / bank failures whose blast radius comes
+// from the physical geometry in internal/dram, and multi-bank failures —
+// one ×8 device failing across its banks, injected as a whole-chip
+// failure of one block (the §5 chipkill fault). The study's multi-rank
+// mode is not modeled, and Run rejects it. Every affected block
 // is then read back through the real controller (memctrl, or shard for
 // concurrent campaigns) and the outcome classified as corrected, masked,
 // silent corruption, false alias, or detected-uncorrectable.
@@ -28,9 +31,12 @@ package faultsim
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
+	"cop/internal/chipkill"
 	"cop/internal/dram"
 	"cop/internal/memctrl"
 	"cop/internal/reliability"
@@ -103,6 +109,8 @@ type Config struct {
 	Workload string
 	// Modes restricts the failure modes exercised; nil means the five
 	// single-structure field modes (bit, word, row, column, bank).
+	// MultiBank (a whole-chip failure) may be added; Run rejects
+	// MultiRank and any other mode it does not model.
 	Modes []reliability.FailureMode
 	// LLCBytes / LLCWays size the cache (defaults 64 KB / 8 — small, so
 	// traffic really reaches DRAM).
@@ -284,6 +292,7 @@ type Target interface {
 	Settle(addr uint64) error
 	StoredKind(addr uint64) memctrl.StoredKind
 	InjectBitFlip(addr uint64, bit int) bool
+	InjectChipFailure(addr uint64, chip int, pattern byte) bool
 	Flush() error
 	Snapshot() telemetry.Snapshot
 }
@@ -382,11 +391,38 @@ func splitBudget(total int, modes []reliability.FailureMode) []int {
 	return out
 }
 
-// faultEvent is one injection: the affected blocks and the bit flips per
-// block, fully determined by the trial RNG.
+// faultEvent is one injection: the affected blocks and the damage to
+// each, fully determined by the trial RNG. A bit event flips bits[i] in
+// addrs[i]; a chip event (chip >= 0) fails that ×8 chip of its one block
+// with pattern.
 type faultEvent struct {
-	addrs []uint64
-	bits  [][]int // parallel to addrs
+	addrs   []uint64
+	bits    [][]int // parallel to addrs; nil for a chip event
+	chip    int     // -1 for a bit event
+	pattern byte
+}
+
+// inject applies the event's damage to its i-th block, reporting false
+// when the block had no image to corrupt.
+func (ev *faultEvent) inject(mem Target, i int) bool {
+	if ev.chip >= 0 {
+		return mem.InjectChipFailure(ev.addrs[i], ev.chip, ev.pattern)
+	}
+	for _, bit := range ev.bits[i] {
+		if !mem.InjectBitFlip(ev.addrs[i], bit) {
+			return false
+		}
+	}
+	return true
+}
+
+// flipped is the number of bits the event flips in its i-th block (a
+// failed chip XORs pattern|1 into each of its bytes).
+func (ev *faultEvent) flipped(i int) int {
+	if ev.chip >= 0 {
+		return chipkill.Beats * bits.OnesCount8(ev.pattern|1)
+	}
+	return len(ev.bits[i])
 }
 
 // Blast-radius caps keep structural events (and hence campaign runtime)
@@ -436,7 +472,7 @@ func buildEvent(r *rng, mode reliability.FailureMode, geom *dram.System, lo, hi 
 		return bits
 	}
 
-	var ev faultEvent
+	ev := faultEvent{chip: -1}
 	switch mode {
 	case reliability.SingleWordMultiBit:
 		// 2–4 flips confined to one 8-byte word.
@@ -476,11 +512,23 @@ func buildEvent(r *rng, mode reliability.FailureMode, geom *dram.System, lo, hi 
 			ev.addrs = append(ev.addrs, a)
 			ev.bits = append(ev.bits, distinct(4+r.intn(5)))
 		}
-	default: // SingleBit and any unmodeled mode degrade to one flip
+	case reliability.MultiBank:
+		// One device fails across its banks: a whole-chip failure. Each
+		// block's damage is independent, so the event touches only the
+		// target — more blocks would change no per-block verdict.
+		ev.addrs = []uint64{target}
+		ev.chip = r.intn(chipkill.Chips)
+		ev.pattern = byte(r.next())
+	default: // SingleBit; Run rejects the modes buildEvent does not model
 		ev.addrs = []uint64{target}
 		ev.bits = [][]int{{r.intn(8 * BlockBytes)}}
 	}
 	return ev
+}
+
+// modeled reports whether buildEvent can inject mode.
+func modeled(mode reliability.FailureMode) bool {
+	return mode == reliability.MultiBank || slices.Contains(DefaultModes(), mode)
 }
 
 // classify turns one read of an affected block into an outcome. The shadow
@@ -525,6 +573,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Blocks < cfg.Workers {
 		return nil, fmt.Errorf("faultsim: %d blocks cannot feed %d workers", cfg.Blocks, cfg.Workers)
+	}
+	for _, mode := range cfg.Modes {
+		if !modeled(mode) {
+			return nil, fmt.Errorf("faultsim: failure mode %s is not modeled", mode)
+		}
 	}
 	memCfg := memctrl.Config{Mode: cfg.Mode, LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays, Tracer: cfg.Tracer}
 	external := cfg.Memory != nil
@@ -624,26 +677,22 @@ func Run(cfg Config) (*Result, error) {
 					}
 					if th.Enabled() {
 						th.Record(trace.KindFaultInject, a, uint32(mode), 0,
-							uint64(len(ev.bits[i])), uint64(trial), 0)
+							uint64(ev.flipped(i)), uint64(trial), 0)
 					}
-					for _, bit := range ev.bits[i] {
-						if !mem.InjectBitFlip(a, bit) {
-							if external {
-								// A concurrent reconfiguration re-encoded
-								// or moved the block between settle and
-								// inject: skip the trial for this block
-								// and restore it (earlier flips of this
-								// event may have landed).
-								live[i] = false
-								rows[mi].Skipped++
-								if errs[w] = mem.Write(a, ref[a/BlockBytes]); errs[w] != nil {
-									return
-								}
-								break
-							}
+					if !ev.inject(mem, i) {
+						if !external {
 							// Settled non-alias blocks always have an
 							// image; a miss here is an engine bug.
 							errs[w] = fmt.Errorf("faultsim: injection missed settled block %#x", a)
+							return
+						}
+						// A concurrent reconfiguration re-encoded or moved
+						// the block between settle and inject: skip the
+						// trial for this block and restore it (earlier
+						// flips of this event may have landed).
+						live[i] = false
+						rows[mi].Skipped++
+						if errs[w] = mem.Write(a, ref[a/BlockBytes]); errs[w] != nil {
 							return
 						}
 					}

@@ -89,6 +89,11 @@ func TestCampaignAllSchemes(t *testing.T) {
 				if res.Outcomes(Silent) == 0 {
 					t.Error("unprotected memory showed no silent corruption under injected faults")
 				}
+				for _, row := range res.Rows {
+					if row.Counts[Silent] != row.Reads {
+						t.Errorf("%s: %d of %d unprotected reads silent, want all", row.Mode, row.Counts[Silent], row.Reads)
+					}
+				}
 			default:
 				if res.Outcomes(Corrected) == 0 {
 					t.Errorf("%s corrected nothing", m)
@@ -126,6 +131,48 @@ func TestSingleBitFullyCorrected(t *testing.T) {
 				t.Error("no corrected reads")
 			}
 		})
+	}
+}
+
+// TestMultiBankChipkillCorrected: a multi-bank fault is one ×8 chip
+// failing, which COP-CK-ER corrects in every block it stores. Every read
+// must come back corrected, and the rewrite that restores each block must
+// leave every other block intact, so background traffic stays clean too.
+// Two workers drive the sharded front-end's chip injection.
+func TestMultiBankChipkillCorrected(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		res, err := Run(Config{
+			Mode: memctrl.COPChipkill, Seed: 7, Injections: 1000, Blocks: 1024, Workers: workers,
+			Modes: []reliability.FailureMode{reliability.MultiBank},
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: campaign: %v", workers, err)
+		}
+		row := res.Rows[0]
+		if row.Mode != reliability.MultiBank || row.Faults != 1000 {
+			t.Fatalf("workers=%d: row = %s with %d faults, want multi-bank with 1000", workers, row.Mode, row.Faults)
+		}
+		if row.Reads == 0 || row.Counts[Corrected] != row.Reads {
+			t.Errorf("workers=%d: corrected %d of %d reads, want all:\n%s", workers, row.Counts[Corrected], row.Reads, res.Table())
+		}
+		if row.Counts[Silent] != 0 || row.Counts[FalseAlias] != 0 || row.OracleMismatches != 0 {
+			t.Errorf("workers=%d: silent=%d false-alias=%d oracle-miss=%d, want 0",
+				workers, row.Counts[Silent], row.Counts[FalseAlias], row.OracleMismatches)
+		}
+		if res.BackgroundMismatches != 0 {
+			t.Errorf("workers=%d: %d background mismatches: a rewrite damaged another block", workers, res.BackgroundMismatches)
+		}
+	}
+}
+
+// TestUnmodeledModeRejected: a campaign cannot report a table for a
+// failure mode it does not inject. An unknown mode has no field rate, and
+// splitBudget given only zero rates would never finish apportioning.
+func TestUnmodeledModeRejected(t *testing.T) {
+	for _, m := range []reliability.FailureMode{reliability.MultiRank, reliability.FailureMode(99)} {
+		if _, err := Run(Config{Mode: memctrl.COP, Injections: 10, Blocks: 64, Modes: []reliability.FailureMode{m}}); err == nil {
+			t.Errorf("Run accepted unmodeled mode %s", m)
+		}
 	}
 }
 

@@ -704,6 +704,71 @@ func TestChipFailureKillsOtherModes(t *testing.T) {
 	}
 }
 
+// TestChipkillRewriteKeepsVerifiedPointer: each of these chip failures
+// mis-corrects a raw block's pointer copy A into another block's live
+// pointer, and the read still verifies the block through copy B. The
+// block's next rewrite — a patrol-scrub rewrite, or a write after the
+// corrected fill — must update the entry the read used, so every block of
+// the memory still reads back its content afterwards.
+func TestChipkillRewriteKeepsVerifiedPointer(t *testing.T) {
+	const blocks = 5000
+	p := workload.MustGet("gcc")
+	for _, tc := range []struct {
+		blk     uint64
+		chip    int
+		pattern byte
+		scrub   bool
+	}{
+		{0, 2, 0x06, true},
+		{0, 2, 0x06, false},
+		{0, 3, 0x06, true},
+		{2, 2, 0x06, true},
+	} {
+		name := fmt.Sprintf("block %d chip %d pattern %#x scrub=%v", tc.blk, tc.chip, tc.pattern, tc.scrub)
+		c := New(Config{Mode: COPChipkill, LLCBytes: 64 << 10, LLCWays: 8})
+		for i := 0; i < blocks; i++ {
+			addr := uint64(i) * BlockBytes
+			if err := c.Write(addr, p.Block(addr, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		addr := tc.blk * BlockBytes
+		if !c.InjectChipFailure(addr, tc.chip, tc.pattern) {
+			t.Fatalf("%s: no image to inject into", name)
+		}
+		if tc.scrub {
+			if _, err := c.ScrubBlock(addr); err != nil {
+				t.Fatalf("%s: scrub: %v", name, err)
+			}
+			if got := c.Snapshot().Controller.ScrubCorrected; got != 1 {
+				t.Fatalf("%s: scrub corrected %d, want 1", name, got)
+			}
+		} else {
+			data, info, err := c.ReadWithInfo(addr)
+			if err != nil || !info.corrected() {
+				t.Fatalf("%s: fill = (%+v, %v), want a correction", name, info, err)
+			}
+			if err := c.Write(addr, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Settle(addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < blocks; i++ {
+			a := uint64(i) * BlockBytes
+			got, err := c.Read(a)
+			if err != nil || !bytes.Equal(got, p.Block(a, 0)) {
+				t.Errorf("%s: block %d reads (%v, match=%v) after the rewrite", name, i, err, bytes.Equal(got, p.Block(a, 0)))
+				break
+			}
+		}
+	}
+}
+
 func TestChipkillModeEntryReuseViaScrub(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	c := New(Config{Mode: COPChipkill, LLCBytes: 8 * 1024, LLCWays: 4})

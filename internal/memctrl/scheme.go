@@ -52,11 +52,14 @@ func newScheme(mode Mode, copCfg core.Config) *scheme {
 
 // decode decodes image, the DRAM image of the block at addr, into dst
 // (BlockBytes long) and returns the decoder's verdict. ptr is the region
-// pointer a raw COP-ER or chipkill image carries — the one the hardware
-// latches during the fill — and core.NoPointer otherwise. segMask folds a
-// COP-family decode's corrected code-word segments into a bitmask for the
-// decode trace record. decode touches no telemetry: the fill, scrub and
-// migration paths count for themselves.
+// pointer whose entry verified a raw COP-ER or chipkill image — the one
+// the hardware latches during the fill — and core.NoPointer otherwise. A
+// chip failure can turn one pointer copy into another block's live
+// pointer, so ptr comes from the read that verified the block, never from
+// a second decode of the image. segMask folds a COP-family decode's
+// corrected code-word segments into a bitmask for the decode trace
+// record. decode touches no telemetry: the fill, scrub and migration
+// paths count for themselves.
 func (s *scheme) decode(dst []byte, addr uint64, image []byte) (rinfo ReadInfo, ptr uint32, segMask uint64, err error) {
 	rinfo.FromDRAM = true
 	ptr = core.NoPointer
@@ -87,11 +90,7 @@ func (s *scheme) decode(dst []byte, addr uint64, image []byte) (rinfo ReadInfo, 
 			return rinfo, ptr, 0, fmt.Errorf("%w: %v", ErrUncorrectable, derr)
 		}
 		copy(dst, block)
-		if info.RegionAccess {
-			if p, ok := s.er.PointerOf(image); ok {
-				ptr = p
-			}
-		}
+		ptr = info.Ptr
 	case COPChipkill:
 		block, info, derr := s.ck.Read(image)
 		rinfo.DecodedCompressed = !info.RegionAccess
@@ -103,11 +102,7 @@ func (s *scheme) decode(dst []byte, addr uint64, image []byte) (rinfo ReadInfo, 
 			return rinfo, ptr, 0, fmt.Errorf("%w: %v", ErrUncorrectable, derr)
 		}
 		copy(dst, block)
-		if info.RegionAccess {
-			if p, ok := s.ck.PointerOf(image); ok {
-				ptr = p
-			}
-		}
+		ptr = info.Ptr
 	case COPAdaptive:
 		block, _, info, derr := s.adaptive.Decode(image)
 		rinfo.DecodedCompressed = info.Compressed
