@@ -15,6 +15,7 @@ import (
 	"cop/internal/cache"
 	"cop/internal/chipkill"
 	"cop/internal/core"
+	"cop/internal/ecc"
 	"cop/internal/telemetry"
 	"cop/internal/trace"
 )
@@ -74,20 +75,20 @@ func (m Mode) String() string {
 // ErrUncorrectable is surfaced when ECC detects an unrepairable error.
 var ErrUncorrectable = errors.New("memctrl: uncorrectable memory error")
 
-// StoredKind is the ground-truth form of a block's DRAM image, recorded at
-// writeback time. Fault-injection classifiers compare it against the
-// decoder's verdict on a corrupted image to recognize false aliases
-// (raw read as compressed, or a compressed block knocked below the
-// detection threshold).
-type StoredKind int
+// StoredKind is the ground-truth form of a block's DRAM image, recorded in
+// the block's store slot at writeback time. Fault-injection classifiers
+// compare it against the decoder's verdict on a corrupted image to
+// recognize false aliases (raw read as compressed, or a compressed block
+// knocked below the detection threshold).
+type StoredKind uint8
 
 // Stored-image kinds.
 const (
 	// StoredNone: the block has no DRAM image (never written back, or an
 	// alias pinned in the LLC).
 	StoredNone StoredKind = iota
-	// StoredKindRaw: the image is the plaintext block (unprotected or
-	// region-protected).
+	// StoredKindRaw: the image is the plaintext block (unprotected, or
+	// with the ECC region's or ECC DIMM's check bits beside it).
 	StoredKindRaw
 	// StoredKindCompressed: the image holds compressed data with inline
 	// check bits.
@@ -122,17 +123,17 @@ type ReadInfo struct {
 func (i ReadInfo) corrected() bool { return i.Corrected > 0 || i.CorrectedPointer }
 
 // Controller is a functional protected-memory model. Not safe for
-// concurrent use.
+// concurrent use. Everything it knows about a block outside the LLC — the
+// DRAM image with its check bits, the image's stored kind, the ever-raw
+// bit — sits in the block's one store slot.
 type Controller struct {
 	cur *scheme    // the scheme every writeback encodes with
 	old *oldScheme // non-nil while a live scheme migration is in flight
 	llc *cache.Cache
 
-	store      *imageStore           // DRAM images, block-aligned address → 64B
-	everRaw    map[uint64]bool       // blocks ever stored uncompressed (Fig 12)
-	kinds      map[uint64]StoredKind // ground-truth form of each DRAM image
-	aliasSpill []cache.Line          // alias lines parked during Flush
-	freeBlk    [][]byte              // recycled line buffers (see getBlock)
+	store      *imageStore  // the per-block table, block-aligned address → slot
+	aliasSpill []cache.Line // alias lines parked during Flush
+	freeBlk    [][]byte     // recycled line buffers (see getBlock)
 	tel        telemetry.ControllerCounters
 	th         *trace.Handle // nil until AttachTracer; nil-safe
 }
@@ -164,17 +165,14 @@ func New(cfg Config) *Controller {
 		cfg.LLCWays = 16
 	}
 	c := &Controller{
-		cur:     newScheme(cfg.Mode, cfg.COPConfig),
-		llc:     cache.New(cfg.LLCBytes, cfg.LLCWays, BlockBytes),
-		store:   newImageStore(),
-		everRaw: map[uint64]bool{},
-		kinds:   map[uint64]StoredKind{},
+		cur:   newScheme(cfg.Mode, cfg.COPConfig),
+		llc:   cache.New(cfg.LLCBytes, cfg.LLCWays, BlockBytes),
+		store: newImageStore(),
 	}
 	// Clean drops (evictions, flushes) surrender their buffers back to
 	// the free list; line buffers are exclusively owned by their cache
 	// entry in every mode (fills and misses always allocate or recycle a
-	// private buffer, and the raw-storing encoders only ever take
-	// ownership of a buffer that has left the LLC — see writeback).
+	// private buffer, and no encoder keeps the buffer it encodes).
 	c.llc.SetOnDrop(func(l cache.Line) { c.putBlock(l.Data) })
 	if cfg.Tracer != nil {
 		c.AttachTracer(cfg.Tracer.Handle(0))
@@ -339,10 +337,8 @@ func (c *Controller) insert(line cache.Line) error {
 
 // writeback encodes a dirty line that is not resident in the LLC (an
 // evicted victim, or a scrub's freshly decoded block) into its DRAM image.
-// Once the encode is done with the buffer it joins the block free list:
-// COP-family encoders build fresh images, so the buffer is dead; the
-// raw-storing modes (Unprotected, ECC region/DIMM) take ownership of it as
-// the image instead, and it is not recycled.
+// No encoder keeps the line's buffer, so once the encode is done with it
+// the buffer joins the block free list.
 func (c *Controller) writeback(victim cache.Line) error {
 	c.tel.Writebacks.Inc()
 	addr := victim.Addr
@@ -359,160 +355,126 @@ func (c *Controller) writeback(victim cache.Line) error {
 		victim.Alias = true
 		return c.insert(victim)
 	}
-	switch c.cur.mode {
-	case COP, COPER, COPChipkill, COPAdaptive:
-		c.putBlock(victim.Data)
-	}
+	c.putBlock(victim.Data)
 	if c.th.Enabled() {
+		kind := c.store.get(addr).kind
 		f := trace.FlagWrite
-		if c.kinds[addr] == StoredKindCompressed {
+		if kind == StoredKindCompressed {
 			f |= trace.FlagCompressed
 		}
-		c.th.Record(trace.KindEncode, addr, uint32(c.kinds[addr]), f, 0, uint64(c.cur.mode), 0)
+		c.th.Record(trace.KindEncode, addr, uint32(kind), f, 0, uint64(c.cur.mode), 0)
 		// The functional store has no device-time model (that lives in
 		// internal/dram for the simulator), so the image write is recorded
 		// with zero bus cycles; the exporter falls back to wall time.
-		c.th.Record(trace.KindDRAMWrite, addr, uint32(c.kinds[addr]), f, 0, 0, 0)
+		c.th.Record(trace.KindDRAMWrite, addr, uint32(kind), f, 0, 0, 0)
 	}
 	return nil
 }
 
-// encodeImage encodes data as addr's DRAM image under the current scheme,
-// updating the stored-kind ground truth and the stored/ever-raw counters.
-// It is the only code that writes a DRAM image or records its kind. A
-// core.RejectedAlias status (COP-family incompressible alias) leaves DRAM
-// untouched; the caller decides whether to pin the line. Raw-storing modes
-// take ownership of the data slice. prevPtr/hasPrev carry a COP-ER /
-// chipkill line's existing region-entry association.
+// encodeImage encodes data as addr's DRAM image under the current scheme
+// and records the image, its stored kind and the ever-raw bit with one
+// store write, counting the stored/ever-raw totals. It is the only code
+// that writes a DRAM image or records its kind. A core.RejectedAlias
+// status (COP-family incompressible alias) leaves DRAM untouched; the
+// caller decides whether to pin the line. data stays the caller's: no
+// scheme keeps it. prevPtr/hasPrev carry a COP-ER / chipkill line's
+// existing region-entry association.
 func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPrev bool) (core.StoreStatus, error) {
 	s := c.cur
-	var status core.StoreStatus
+	var image []byte
+	status := core.StoredRaw
 	switch s.mode {
 	case Unprotected:
-		c.store.set(addr, data)
-		c.kinds[addr] = StoredKindRaw
-		c.tel.StoredRaw.Inc()
-		status = core.StoredRaw
+		image = c.imageBuf(addr, BlockBytes)
+		copy(image, data)
 	case COP:
-		// Encode straight into the block's DRAM image buffer (reused across
-		// writebacks of the same address) via the controller's scratch: the
-		// steady-state write path allocates nothing.
-		image, ok := c.store.get(addr)
-		if !ok {
-			image = make([]byte, BlockBytes)
-		}
+		// EncodeInto rejects an alias before writing, so a rejected store
+		// leaves the image untouched.
+		image = c.imageBuf(addr, BlockBytes)
 		status = s.codec.EncodeInto(image, data, s.sc)
-		switch status {
-		case core.StoredCompressed:
-			if !ok {
-				// EncodeInto rewrote the existing image in place; only a
-				// fresh buffer needs entering the map.
-				c.store.set(addr, image)
-			}
-			c.kinds[addr] = StoredKindCompressed
-			c.tel.StoredCompressed.Inc()
-		case core.StoredRaw:
-			if !ok {
-				c.store.set(addr, image)
-			}
-			c.kinds[addr] = StoredKindRaw
-			c.tel.StoredRaw.Inc()
-			c.markEverRaw(addr)
-		case core.RejectedAlias:
-			if !ok {
-				// EncodeInto rejects aliases before writing dst, so the
-				// fresh buffer is untouched and dead.
-				c.putBlock(image)
-			}
-			return status, nil
-		}
 	case COPER:
 		prev := core.NoPointer
 		if hasPrev {
 			prev = prevPtr
 		}
-		image, _, compressed, err := s.er.Write(data, prev)
+		img, _, compressed, err := s.er.Write(data, prev)
 		if err != nil {
 			return 0, err
 		}
-		c.store.set(addr, image)
-		c.kinds[addr] = kindOf(compressed)
-		if compressed {
-			c.tel.StoredCompressed.Inc()
-			status = core.StoredCompressed
-		} else {
-			c.tel.StoredRaw.Inc()
-			c.tel.RegionReads.Inc() // entry write
-			c.markEverRaw(addr)
-			status = core.StoredRaw
-		}
+		image, status = img, storedStatus(compressed)
 	case COPChipkill:
 		prev := chipkill.NoPointer
 		if hasPrev {
 			prev = prevPtr
 		}
-		image, _, inline, err := s.ck.Write(data, prev)
+		img, _, inline, err := s.ck.Write(data, prev)
 		if err != nil {
 			return 0, err
 		}
-		c.store.set(addr, image)
-		c.kinds[addr] = kindOf(inline)
-		if inline {
-			c.tel.StoredCompressed.Inc()
-			status = core.StoredCompressed
-		} else {
-			c.tel.StoredRaw.Inc()
-			c.tel.RegionReads.Inc()
-			c.markEverRaw(addr)
-			status = core.StoredRaw
-		}
+		image, status = img, storedStatus(inline)
 	case COPAdaptive:
-		var image []byte
 		image, _, status = s.adaptive.Encode(data)
-		switch status {
-		case core.StoredCompressed:
-			c.store.set(addr, image)
-			c.kinds[addr] = StoredKindCompressed
-			c.tel.StoredCompressed.Inc()
-		case core.StoredRaw:
-			c.store.set(addr, image)
-			c.kinds[addr] = StoredKindRaw
-			c.tel.StoredRaw.Inc()
-			c.markEverRaw(addr)
-		case core.RejectedAlias:
-			return status, nil
-		}
 	case ECCRegion:
-		c.store.set(addr, data)
-		s.regECC[addr] = blockParity523(data)
-		c.kinds[addr] = StoredKindRaw
-		c.tel.StoredRaw.Inc()
-		c.tel.RegionReads.Inc()
-		status = core.StoredRaw
+		image = c.imageBuf(addr, regionImageBytes)
+		ecc.SECDED523512.EncodeInto(image, data)
+		c.tel.RegionReads.Inc() // entry write
 	case ECCDIMM:
-		c.store.set(addr, data)
-		s.dimmECC[addr] = dimmCheckBytes(data)
-		c.kinds[addr] = StoredKindRaw
-		c.tel.StoredCompressed.Inc() // protected, inline — closest bucket
-		c.tel.DIMMCheckBytesWritten.Add(8)
-		status = core.StoredCompressed
+		image = c.imageBuf(addr, dimmImageBytes)
+		dimmEncode(image, data)
+		c.tel.DIMMCheckBytesWritten.Add(dimmImageBytes - BlockBytes)
+		status = core.StoredCompressed // protected, inline — closest bucket
+	}
+	if status == core.RejectedAlias {
+		return status, nil
+	}
+	kind, raw := StoredKindRaw, false
+	switch s.mode {
+	case COP, COPER, COPChipkill, COPAdaptive:
+		// A COP-family raw image is an incompressible block (Fig. 12); a
+		// COP-ER or chipkill one also writes its region entry.
+		raw = status == core.StoredRaw
+		if !raw {
+			kind = StoredKindCompressed
+		} else if s.mode == COPER || s.mode == COPChipkill {
+			c.tel.RegionReads.Inc()
+		}
+	}
+	if status == core.StoredCompressed {
+		c.tel.StoredCompressed.Inc()
+	} else {
+		c.tel.StoredRaw.Inc()
+	}
+	if c.store.set(addr, image, kind, raw) {
+		c.tel.EverIncompressible.Inc()
 	}
 	if c.old != nil {
 		// The image now carries the current scheme; the block no longer
-		// needs migration and its retiring-scheme side entries can go.
+		// needs migration.
 		delete(c.old.pending, addr)
-		c.old.dropEntry(addr)
 	}
 	return status, nil
 }
 
-// markEverRaw records the first time a block is stored uncompressed
-// (Figure 12's ever-incompressible population).
-func (c *Controller) markEverRaw(addr uint64) {
-	if !c.everRaw[addr] {
-		c.everRaw[addr] = true
-		c.tel.EverIncompressible.Inc()
+// imageBuf returns the buffer addr's next n-byte image is encoded into:
+// the block's current image when it has that length — re-encoded in
+// place, so the steady-state write path allocates nothing — else a fresh
+// one. An image of another length was written by another scheme (a
+// migration's retiring one) and cannot be reused.
+func (c *Controller) imageBuf(addr uint64, n int) []byte {
+	if img := c.store.get(addr).img; len(img) == n {
+		return img
 	}
+	if n == BlockBytes {
+		return c.getBlock()
+	}
+	return make([]byte, n)
+}
+
+func storedStatus(compressed bool) core.StoreStatus {
+	if compressed {
+		return core.StoredCompressed
+	}
+	return core.StoredRaw
 }
 
 // traceAliasRetained records a writeback rejected by the alias check and
@@ -521,13 +483,6 @@ func (c *Controller) traceAliasRetained(addr uint64) {
 	if c.th.Enabled() {
 		c.th.Record(trace.KindAliasRetained, addr, 0, trace.FlagAlias|trace.FlagWrite, 0, uint64(c.cur.mode), 0)
 	}
-}
-
-func kindOf(compressed bool) StoredKind {
-	if compressed {
-		return StoredKindCompressed
-	}
-	return StoredKindRaw
 }
 
 // Read loads the 64-byte block at addr.
@@ -595,14 +550,14 @@ func (c *Controller) ReadInto(dst []byte, addr uint64) (ReadInfo, error) {
 // error alone: a region consultation counts whether or not the decode
 // succeeded, then exactly one of corrected or uncorrectable (or neither).
 func (c *Controller) fill(addr uint64) (cache.Line, ReadInfo, error) {
-	image, present := c.store.get(addr)
-	if !present {
+	image := c.store.get(addr).img
+	if image == nil {
 		// Untouched memory reads as zeros (fresh pages).
 		return cache.Line{Addr: addr, Data: c.getZeroBlock()}, ReadInfo{}, nil
 	}
 	s := c.schemeOf(addr)
 	line := cache.Line{Addr: addr, Data: c.getBlock()}
-	rinfo, ptr, segMask, err := s.decode(line.Data, addr, image)
+	rinfo, ptr, segMask, err := s.decode(line.Data, image)
 	if rinfo.RegionAccess {
 		c.tel.RegionReads.Inc()
 	}
@@ -682,27 +637,18 @@ func (c *Controller) Flush() error {
 	return ferr
 }
 
-// Drain quiesces the controller to a fenced state: every dirty non-alias
-// LLC line is written back to DRAM (alias lines are re-seated — they can
-// never leave the cache+overflow structure) and the first writeback error
-// is returned. After a successful Drain, Quiesced reports true and the
-// DRAM image is a complete, decodable picture of memory — the handoff
-// point live scheme migration needs. Today this is Flush plus the fence
-// guarantee; it is a separate entry point so migration callers do not
-// depend on Flush's (looser) contract.
-func (c *Controller) Drain() error { return c.Flush() }
-
 // Quiesced reports whether the controller holds no dirty non-alias LLC
 // lines — i.e. whether DRAM (plus the alias lines pinned by design) is a
-// complete image of memory. True immediately after a successful Drain.
+// complete image of memory. True immediately after a successful Flush.
 func (c *Controller) Quiesced() bool { return c.llc.DirtyLines(true) == 0 }
 
 // InjectBitFlip flips one bit of the DRAM image holding addr, returning
 // false when the block is not resident in DRAM (e.g. still dirty in the
-// LLC or never written). bit is 0..511.
+// LLC or never written). bit is 0..511: the block's 64 bytes, never the
+// check bits an ECC region or ECC DIMM image keeps beside them.
 func (c *Controller) InjectBitFlip(addr uint64, bit int) bool {
-	image, ok := c.store.get(align(addr))
-	if !ok || bit < 0 || bit >= 8*BlockBytes {
+	image := c.store.get(align(addr)).img
+	if image == nil || bit < 0 || bit >= 8*BlockBytes {
 		return false
 	}
 	bitio.FlipBit(image, bit)
@@ -711,14 +657,13 @@ func (c *Controller) InjectBitFlip(addr uint64, bit int) bool {
 
 // InDRAM reports whether addr has a DRAM image.
 func (c *Controller) InDRAM(addr uint64) bool {
-	_, ok := c.store.get(align(addr))
-	return ok
+	return c.store.get(align(addr)).img != nil
 }
 
 // StoredKind returns the ground-truth form of addr's DRAM image as of its
 // last writeback (StoredNone when the block has no image).
 func (c *Controller) StoredKind(addr uint64) StoredKind {
-	return c.kinds[align(addr)]
+	return c.store.get(align(addr)).kind
 }
 
 // Settle forces the block holding addr out of the LLC: a dirty line is
@@ -737,11 +682,6 @@ func (c *Controller) Settle(addr uint64) error {
 	}
 	return c.writeback(line)
 }
-
-// EverIncompressibleBlocks returns how many distinct blocks were ever
-// written to DRAM uncompressed — the quantity Figure 12's storage
-// comparison charges COP-ER for.
-func (c *Controller) EverIncompressibleBlocks() uint64 { return c.tel.EverIncompressible.Load() }
 
 // --- helpers -----------------------------------------------------------
 
@@ -815,12 +755,13 @@ func (c *Controller) WriteBytes(addr uint64, data []byte) error {
 
 // InjectChipFailure corrupts every byte chip contributes to the DRAM image
 // holding addr (a whole-chip failure on a ×8 rank), returning false when
-// the block is not resident in DRAM. Only COPChipkill mode can recover
-// from it; the other modes demonstrate why chipkill needs more than
-// SECDED.
+// the block is not resident in DRAM. The eight data chips are the ones
+// that fail; an ECC DIMM's ninth chip stays intact. Only COPChipkill mode
+// can recover from it; the other modes demonstrate why chipkill needs more
+// than SECDED.
 func (c *Controller) InjectChipFailure(addr uint64, chip int, pattern byte) bool {
-	image, ok := c.store.get(align(addr))
-	if !ok || chip < 0 || chip >= chipkill.Chips {
+	image := c.store.get(align(addr)).img
+	if image == nil || chip < 0 || chip >= chipkill.Chips {
 		return false
 	}
 	chipkill.FailChip(image, chip, pattern)

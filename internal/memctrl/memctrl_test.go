@@ -1138,3 +1138,37 @@ func TestSettleForcesImage(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckBitsRideInImage: an ECC DIMM image is the block followed by
+// its ninth chip, one (72,64) check byte per word; an ECC-region image is
+// the block followed by its 2-byte entry, which makes it the block's
+// (523,512) code word. The check bits are the reference codes' own.
+func TestCheckBitsRideInImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	d := randomData(rng)
+	dimm := append([]byte(nil), d...)
+	for w := 0; w < 8; w++ {
+		dimm = append(dimm, ecc.SECDED7264.Encode(d[8*w : 8*w+8])[8])
+	}
+	for _, tc := range []struct {
+		mode Mode
+		want []byte
+	}{
+		{ECCDIMM, dimm},
+		{ECCRegion, ecc.SECDED523512.Encode(d)},
+	} {
+		c := newCtrl(tc.mode)
+		mustWrite(t, c, 0x40, d)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.DumpDRAM()[0x40]; !bytes.Equal(got, tc.want) {
+			t.Fatalf("%v image % x, want % x", tc.mode, got, tc.want)
+		}
+		// A rewrite re-encodes the image in place.
+		mustWrite(t, c, 0x40, compressibleData(rng))
+		if err := c.Flush(); err != nil || len(c.DumpDRAM()[0x40]) != len(tc.want) {
+			t.Fatalf("%v rewrite: %d-byte image, %v", tc.mode, len(c.DumpDRAM()[0x40]), err)
+		}
+	}
+}

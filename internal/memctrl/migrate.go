@@ -157,19 +157,16 @@ func (c *Controller) convertOne(addr uint64) error {
 		// the current scheme. Drop the old image so nothing ever decodes
 		// it again.
 		c.store.del(addr)
-		delete(c.kinds, addr)
-		o.dropEntry(addr)
 		c.tel.MigratedBlocks.Inc()
 		return nil
 	}
-	image, ok := c.store.get(addr)
-	if !ok {
-		o.dropEntry(addr)
+	image := c.store.get(addr).img
+	if image == nil {
 		return nil
 	}
 	c.tel.ScrubScans.Inc()
 	data := make([]byte, BlockBytes)
-	rinfo, _, _, err := o.decode(data, addr, image)
+	rinfo, _, _, err := o.decode(data, image)
 	if err != nil {
 		c.tel.UncorrectableErrors.Inc()
 		c.tel.ScrubUncorrectable.Inc()
@@ -184,8 +181,6 @@ func (c *Controller) convertOne(addr uint64) error {
 		// live in DRAM, so pin it in the LLC (mirroring the writeback
 		// RejectedAlias path) and drop the old image.
 		c.store.del(addr)
-		delete(c.kinds, addr)
-		o.dropEntry(addr)
 		c.tel.AliasRetained.Inc()
 		c.traceAliasRetained(addr)
 		if line, ok := c.llc.Peek(addr); ok {
@@ -218,8 +213,8 @@ func (c *Controller) ScrubBlock(addr uint64) (scanned bool, err error) {
 	if c.isPending(addr) {
 		return true, c.convertOne(addr)
 	}
-	image, ok := c.store.get(addr)
-	if !ok {
+	image := c.store.get(addr).img
+	if image == nil {
 		return false, nil
 	}
 	if line, ok := c.llc.Peek(addr); ok && line.Dirty {
@@ -227,7 +222,7 @@ func (c *Controller) ScrubBlock(addr uint64) (scanned bool, err error) {
 	}
 	c.tel.ScrubScans.Inc()
 	data := c.getBlock()
-	rinfo, ptr, _, err := c.cur.decode(data, addr, image)
+	rinfo, ptr, _, err := c.cur.decode(data, image)
 	if err != nil {
 		c.putBlock(data)
 		c.tel.ScrubUncorrectable.Inc()
@@ -295,20 +290,20 @@ func (c *Controller) DecodeResident(addr uint64) (data []byte, ok bool, err erro
 	if line, found := c.llc.Peek(addr); found && line.Data != nil {
 		return copyBlock(line.Data), true, nil
 	}
-	image, found := c.store.get(addr)
-	if !found {
+	image := c.store.get(addr).img
+	if image == nil {
 		return nil, false, nil
 	}
 	data = make([]byte, BlockBytes)
-	if _, _, _, err := c.schemeOf(addr).decode(data, addr, image); err != nil {
+	if _, _, _, err := c.schemeOf(addr).decode(data, image); err != nil {
 		return nil, true, err
 	}
 	return data, true, nil
 }
 
 // DumpDRAM returns a copy of every resident DRAM image keyed by block
-// address — the raw encoded bytes, for byte-identity assertions in
-// migration and resharding tests.
+// address — the raw encoded bytes, check bits included, for byte-identity
+// assertions in migration and resharding tests.
 func (c *Controller) DumpDRAM() map[uint64][]byte {
 	out := make(map[uint64][]byte, c.store.len())
 	c.store.foreach(func(addr uint64, image []byte) bool {

@@ -22,6 +22,7 @@ func TestMigrationPendingBlocks(t *testing.T) {
 	}{
 		{"cop-4->cop-8", COP, core.NewConfig8()},
 		{"cop-4->ecc-region", ECCRegion, core.Config{}},
+		{"cop-4->ecc-dimm", ECCDIMM, core.Config{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const blocks = 64
@@ -157,5 +158,53 @@ func TestMigrationPendingBlocks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEverRawSurvivesMigrationDrop: when the LLC holds newer data for a
+// pending block, MigrateChunk drops the block's stale image. The drop
+// keeps the block's ever-raw bit, so the raw rewrite that follows does not
+// count the block ever-incompressible a second time.
+func TestEverRawSurvivesMigrationDrop(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	c := newCtrl(COP)
+	raw := func() []byte { // raw under the current scheme's codec
+		for {
+			if d := randomData(rng); c.cur.codec.Classify(d) == core.StoredRaw {
+				return d
+			}
+		}
+	}
+	const addr = 0x40
+	mustWrite(t, c, addr, raw())
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if k, n := c.StoredKind(addr), c.Snapshot().Controller.EverIncompressible; k != StoredKindRaw || n != 1 {
+		t.Fatalf("after the first raw store: kind %v, ever_incompressible %d", k, n)
+	}
+	if err := c.BeginMigration(COP, core.NewConfig8()); err != nil {
+		t.Fatal(err)
+	}
+	want := raw()
+	mustWrite(t, c, addr, want) // a dirty LLC line over the pending image
+	if rem, err := c.MigrateChunk(1); err != nil || rem != 0 {
+		t.Fatalf("MigrateChunk = %d, %v", rem, err)
+	}
+	if k := c.StoredKind(addr); k != StoredNone || c.InDRAM(addr) {
+		t.Fatalf("after the drop: kind %v, in DRAM %v; want no image", k, c.InDRAM(addr))
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Snapshot().Controller
+	if k := c.StoredKind(addr); k != StoredKindRaw || st.StoredRaw != 2 {
+		t.Fatalf("after the rewrite: kind %v, stored_raw %d; want a second raw store", k, st.StoredRaw)
+	}
+	if st.EverIncompressible != 1 {
+		t.Fatalf("ever_incompressible = %d after the drop and rewrite, want 1", st.EverIncompressible)
+	}
+	if got, err := c.Read(addr); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read after the rewrite: %v", err)
 	}
 }

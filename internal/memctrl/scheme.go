@@ -1,19 +1,30 @@
 package memctrl
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"cop/internal/bitio"
 	"cop/internal/chipkill"
 	"cop/internal/core"
 	"cop/internal/ecc"
 )
 
-// scheme is one protection scheme: its mode plus the machinery that
-// encodes and decodes its DRAM images and the side tables holding its
-// check bits. The controller holds the current scheme and, while a live
-// migration is in flight, the retiring one; every path that decodes a
-// block picks the scheme that wrote its image.
+// Image lengths of the schemes that keep check bits beside the data. An
+// ECC DIMM image is the block followed by its ninth chip: one (72,64)
+// check byte per 8-byte word. An ECC-region image is the block followed
+// by its 2-byte direct-mapped entry, the 11 check bits of the block's
+// (523,512) code word — so the image is that code word.
+const (
+	dimmImageBytes   = BlockBytes + BlockBytes/8
+	regionImageBytes = BlockBytes + 2
+)
+
+// scheme is one protection scheme: its mode plus the codecs that encode
+// and decode its DRAM images. Every check bit a scheme keeps rides in the
+// image itself, so a scheme holds no per-block state. The controller
+// holds the current scheme and, while a live migration is in flight, the
+// retiring one; every path that decodes a block picks the scheme that
+// wrote its image.
 type scheme struct {
 	mode     Mode
 	codec    *core.Codec        // COP
@@ -21,8 +32,6 @@ type scheme struct {
 	er       *core.ERCodec      // COP-ER
 	adaptive *core.AdaptiveCodec
 	ck       *chipkill.ERCodec
-	dimmECC  map[uint64][]byte // ECCDIMM: 8 check bytes per block
-	regECC   map[uint64]uint16 // ECCRegion: 11-bit parity per block (2-byte entry)
 }
 
 // newScheme builds mode's machinery. copCfg parameterizes COP and COP-ER;
@@ -38,10 +47,6 @@ func newScheme(mode Mode, copCfg core.Config) *scheme {
 		s.sc = s.codec.NewScratch()
 	case COPER:
 		s.er = core.NewERCodec(copCfg)
-	case ECCDIMM:
-		s.dimmECC = map[uint64][]byte{}
-	case ECCRegion:
-		s.regECC = map[uint64]uint16{}
 	case COPAdaptive:
 		s.adaptive = core.NewAdaptiveCodec()
 	case COPChipkill:
@@ -50,7 +55,7 @@ func newScheme(mode Mode, copCfg core.Config) *scheme {
 	return s
 }
 
-// decode decodes image, the DRAM image of the block at addr, into dst
+// decode decodes image, a DRAM image the scheme wrote, into dst
 // (BlockBytes long) and returns the decoder's verdict. ptr is the region
 // pointer whose entry verified a raw COP-ER or chipkill image — the one
 // the hardware latches during the fill — and core.NoPointer otherwise. A
@@ -60,7 +65,7 @@ func newScheme(mode Mode, copCfg core.Config) *scheme {
 // corrected code-word segments into a bitmask for the decode trace
 // record. decode touches no telemetry: the fill, scrub and migration
 // paths count for themselves.
-func (s *scheme) decode(dst []byte, addr uint64, image []byte) (rinfo ReadInfo, ptr uint32, segMask uint64, err error) {
+func (s *scheme) decode(dst, image []byte) (rinfo ReadInfo, ptr uint32, segMask uint64, err error) {
 	rinfo.FromDRAM = true
 	ptr = core.NoPointer
 	switch s.mode {
@@ -116,12 +121,12 @@ func (s *scheme) decode(dst []byte, addr uint64, image []byte) (rinfo ReadInfo, 
 	case ECCRegion:
 		rinfo.RegionAccess = true
 		var corrected bool
-		corrected, err = check523(dst, image, s.regECC[addr])
+		corrected, err = regionDecode(dst, image)
 		if corrected {
 			rinfo.Corrected = 1
 		}
 	case ECCDIMM:
-		rinfo.Corrected, err = dimmDecode(dst, image, s.dimmECC[addr])
+		rinfo.Corrected, err = dimmDecode(dst, image)
 	default:
 		err = fmt.Errorf("memctrl: cannot decode scheme %v", s.mode)
 	}
@@ -142,13 +147,6 @@ func (s *scheme) wouldReject(data []byte) bool {
 	return false
 }
 
-// dropEntry discards the scheme's side-table entries for a block whose
-// image has been re-encoded (or superseded) under another scheme.
-func (s *scheme) dropEntry(addr uint64) {
-	delete(s.dimmECC, addr)
-	delete(s.regECC, addr)
-}
-
 // segmentMask folds the corrected code-word indices into a bitmask for the
 // decode trace record (segments beyond 63 saturate into bit 63).
 func segmentMask(segs []int) uint64 {
@@ -162,61 +160,44 @@ func segmentMask(segs []int) uint64 {
 	return m
 }
 
-// blockParity523 computes the ECC-region baseline's per-block check bits.
-func blockParity523(block []byte) uint16 {
-	cw := ecc.SECDED523512.Encode(block)
-	pb := bitio.ExtractBits(cw, 512, 11)
-	return uint16(pb[0])<<3 | uint16(pb[1])>>5
-}
-
-// check523 verifies/corrects a raw block against its 11-bit parity,
-// writing the corrected block to dst.
-func check523(dst, block []byte, parity uint16) (corrected bool, err error) {
-	cw := make([]byte, ecc.SECDED523512.CodewordBytes())
-	copy(cw, block)
-	var pb [2]byte
-	pb[0] = byte(parity >> 3)
-	pb[1] = byte(parity << 5)
-	bitio.DepositBits(cw, 512, pb[:], 11)
-	res, _ := ecc.SECDED523512.Decode(cw)
-	switch res {
-	case ecc.Corrected:
-		copy(dst, ecc.SECDED523512.Data(cw))
-		return true, nil
+// regionDecode verifies/corrects an ECC-region image — the block's
+// (523,512) code word — writing the corrected block to dst. The image
+// itself is left as it is: a demand read corrects its copy.
+func regionDecode(dst, image []byte) (corrected bool, err error) {
+	var cw [regionImageBytes]byte
+	copy(cw[:], image)
+	switch res, _ := ecc.SECDED523512.Decode(cw[:]); res {
 	case ecc.Uncorrectable:
 		return false, ErrUncorrectable
-	default:
-		copy(dst, block)
-		return false, nil
+	case ecc.Corrected:
+		corrected = true
+	}
+	copy(dst, cw[:BlockBytes])
+	return corrected, nil
+}
+
+// dimmEncode writes block and its ninth-chip check bytes into image.
+func dimmEncode(image, block []byte) {
+	copy(image, block)
+	for w := 0; w < 8; w++ {
+		_, hi := ecc.SECDED7264.EncodeWords(binary.BigEndian.Uint64(block[8*w:]), 0)
+		image[BlockBytes+w] = byte(hi >> 56)
 	}
 }
 
-// dimmCheckBytes computes the ninth-chip contents for one block: one
-// (72,64) check byte per 8-byte word.
-func dimmCheckBytes(block []byte) []byte {
-	out := make([]byte, 8)
+// dimmDecode verifies/corrects each word of an ECC DIMM image against its
+// check byte, writing the corrected words to dst.
+func dimmDecode(dst, image []byte) (corrected int, err error) {
 	for w := 0; w < 8; w++ {
-		cw := ecc.SECDED7264.Encode(block[8*w : 8*w+8])
-		out[w] = cw[8]
-	}
-	return out
-}
-
-// dimmDecode verifies/corrects each word of a block, writing the corrected
-// words to dst.
-func dimmDecode(dst, block, check []byte) (corrected int, err error) {
-	cw := make([]byte, 9)
-	for w := 0; w < 8; w++ {
-		copy(cw, block[8*w:8*w+8])
-		cw[8] = check[w]
-		res, _ := ecc.SECDED7264.Decode(cw)
+		lo, hi := binary.BigEndian.Uint64(image[8*w:]), uint64(image[BlockBytes+w])<<56
+		lo, _, res, _ := ecc.SECDED7264.CorrectWords(lo, hi, ecc.SECDED7264.SyndromeWords(lo, hi))
 		switch res {
 		case ecc.Corrected:
 			corrected++
 		case ecc.Uncorrectable:
 			return corrected, ErrUncorrectable
 		}
-		copy(dst[8*w:], cw[:8])
+		binary.BigEndian.PutUint64(dst[8*w:], lo)
 	}
 	return corrected, nil
 }

@@ -71,3 +71,41 @@ func TestZeroAllocHotPaths(t *testing.T) {
 		})
 	}
 }
+
+// TestZeroAllocImageRewrite pins the one buffer rule: the schemes that
+// encode in place (unprotected, COP, ECC region, ECC DIMM) rewrite a
+// block's existing image in its own buffer and recycle every line buffer,
+// so a steady stream of LLC misses — each a fill plus a dirty victim's
+// writeback — allocates nothing.
+func TestZeroAllocImageRewrite(t *testing.T) {
+	for _, m := range []Mode{Unprotected, COP, ECCRegion, ECCDIMM} {
+		c := New(Config{Mode: m, LLCBytes: 4096, LLCWays: 4})
+		const blocks = 512 // 8× the LLC: every access misses
+		data := make([]byte, BlockBytes)
+		for w := 0; w < 8; w++ {
+			binary.BigEndian.PutUint64(data[8*w:], 0x00007F00_00000000|uint64(w))
+		}
+		for i := 0; i < blocks; i++ {
+			if err := c.Write(uint64(i)*BlockBytes, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, BlockBytes)
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() {
+			addr := uint64(i%blocks) * BlockBytes
+			if err := c.Write(addr, data); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.ReadInto(dst, (addr+blocks/2*BlockBytes)%(blocks*BlockBytes)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); n != 0 {
+			t.Errorf("%v: miss path allocates %.1f allocs/op, want 0", m, n)
+		}
+	}
+}

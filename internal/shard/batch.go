@@ -36,7 +36,7 @@ const (
 	// that reach the shard wait until it is re-enabled.
 	ModePaused
 	// ModeDraining executes nothing, like ModePaused; Drain and DrainShard
-	// set it and then flush the shard to a fenced state (memctrl.Drain).
+	// set it and then flush the shard to a fenced state (memctrl.Flush).
 	// The fence covers every operation that took the shard lock before
 	// the flip: every synchronous call and Group.Wait that has returned.
 	ModeDraining
@@ -883,7 +883,7 @@ func (b *Batched) SetMode(m Mode) {
 // Drain moves every shard to ModeDraining, then fences each one
 // (quiesceShard): every operation that took a shard lock before the flip
 // — every synchronous call and Group.Wait that has returned — has
-// executed and been flushed (memctrl.Drain), and nothing executes
+// executed and been flushed (memctrl.Flush), and nothing executes
 // afterwards. Returns the first flush error. The shards stay Draining —
 // and operations on them wait — until Resume.
 func (b *Batched) Drain() error {

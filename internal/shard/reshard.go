@@ -175,7 +175,7 @@ func distinctShards(entries []routeEntry) []*batchShard {
 }
 
 // quiesceShard fences one shard: flip it to Draining, then take its slot
-// lock and flush it (memctrl.Drain). Synchronous calls and window holds
+// lock and flush it (memctrl.Flush). Synchronous calls and window holds
 // check the mode under that same lock, so each either ran before the
 // flush or observes the flip and waits; on return the shard cannot
 // execute another operation until re-enabled. Drain, DrainShard and
@@ -184,7 +184,7 @@ func (b *Batched) quiesceShard(bs *batchShard) error {
 	b.setMode(bs, ModeDraining)
 	s := bs.slot
 	s.mu.Lock()
-	err := s.ctrl.Drain()
+	err := s.ctrl.Flush()
 	s.mu.Unlock()
 	bs.tel.Drains.Inc()
 	return err
