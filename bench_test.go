@@ -339,7 +339,7 @@ func BenchmarkExtensionChipkill(b *testing.B) {
 		protected, recovered, trials := 0, 0, 0
 		for _, blk := range blocks {
 			img, status := ck.Encode(blk)
-			if status.String() != "protected" {
+			if status != cop.StoredCompressed {
 				continue
 			}
 			protected++

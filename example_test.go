@@ -108,7 +108,7 @@ func ExampleNewChipkillCodec() {
 	fmt.Println("failed chip identified:", info.FailedChip)
 	fmt.Println("reconstructed:", err == nil && bytes.Equal(got, block))
 	// Output:
-	// stored: protected
+	// stored: compressed
 	// failed chip identified: 3
 	// reconstructed: true
 }

@@ -78,7 +78,7 @@ func demo(ck *cop.ChipkillCodec, p *workload.Profile) {
 	var protectedSet []stored
 	for i := 0; i < blocks; i++ {
 		b := p.Block(uint64(i)*cop.BlockBytes, 0)
-		if img, status := ck.Encode(b); status.String() == "protected" {
+		if img, status := ck.Encode(b); status == cop.StoredCompressed {
 			protectedSet = append(protectedSet, stored{b, img})
 		}
 	}

@@ -213,7 +213,7 @@ func TestCOPERRegionLifecycle(t *testing.T) {
 	if err := ctrl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	allocated := ctrl.ER().Region().Telemetry().Live
+	allocated := ctrl.Region().Telemetry().Live
 	if allocated == 0 {
 		t.Fatal("phase 1: no entries allocated")
 	}
@@ -231,7 +231,7 @@ func TestCOPERRegionLifecycle(t *testing.T) {
 	if err := ctrl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	after := ctrl.ER().Region().Telemetry().Live
+	after := ctrl.Region().Telemetry().Live
 	if after >= allocated {
 		t.Fatalf("entries not freed: %d -> %d", allocated, after)
 	}

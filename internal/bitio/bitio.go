@@ -274,6 +274,23 @@ func DepositBits(dst []byte, off int, src []byte, n int) {
 	}
 }
 
+// Gather copies the bits of src at positions pos into dst, left-aligned:
+// bit i of dst becomes bit pos[i] of src. Bits of dst past len(pos) are
+// left as they are.
+func Gather(dst, src []byte, pos []int) {
+	for i, p := range pos {
+		SetBit(dst, i, Bit(src, p))
+	}
+}
+
+// Scatter is Gather's inverse: bit pos[i] of dst becomes bit i of src.
+// Bits of dst outside pos are left as they are.
+func Scatter(dst []byte, pos []int, src []byte) {
+	for i, p := range pos {
+		SetBit(dst, p, Bit(src, i))
+	}
+}
+
 // XOR xors src into dst in place; the slices must be the same length.
 func XOR(dst, src []byte) {
 	if len(dst) != len(src) {

@@ -152,6 +152,22 @@ func TestExtractDepositBits(t *testing.T) {
 	}
 }
 
+func TestGatherScatter(t *testing.T) {
+	src := []byte{0b10110100, 0b01011101}
+	pos := []int{15, 0, 3, 8}
+	got := []byte{0xFF}
+	Gather(got, src, pos)
+	// bits 15, 0, 3, 8 of src: 1 1 1 0; the low four bits of dst stay set.
+	if got[0] != 0b11101111 {
+		t.Fatalf("Gather: got %08b", got[0])
+	}
+	dst := []byte{0x00, 0xFF}
+	Scatter(dst, pos, got)
+	if dst[0] != 0b10010000 || dst[1] != 0b01111111 {
+		t.Fatalf("Scatter: got %08b %08b", dst[0], dst[1])
+	}
+}
+
 func TestExtractDepositRoundTripQuick(t *testing.T) {
 	f := func(data []byte, off8, n8 uint8) bool {
 		if len(data) == 0 {

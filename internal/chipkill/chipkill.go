@@ -20,19 +20,24 @@
 //
 // Decoding tries the no-failure interpretation first (parity consistent in
 // every beat and CRC valid). Otherwise it hypothesizes each chip failed in
-// turn, reconstructs that chip's bytes from parity, and accepts the unique
-// hypothesis whose CRC validates — correcting a whole dead chip, and, as a
-// special case, any error burst confined to one chip (including single-bit
-// flips). Raw (incompressible) blocks alias with probability ≈ 9×2⁻¹⁶ per
-// block; as in COP, aliases are detected at write time and pinned in the
-// LLC.
+// turn, in chip order, reconstructs that chip's bytes from parity, and
+// accepts the first hypothesis whose CRC validates — correcting a whole
+// dead chip, and, as a special case, any error burst confined to one chip
+// (including single-bit flips). A later hypothesis that would also
+// validate is not tried, so a wrong hypothesis whose CRC passes by chance
+// decodes silently wrong (ROADMAP.md, "COP-CK-ER: no silent decode under a
+// single-chip failure"). Raw (incompressible) blocks alias with
+// probability ≈ 9×2⁻¹⁶ per block; as in COP, aliases are detected at
+// write time and pinned in the LLC.
 package chipkill
 
 import (
-	"errors"
 	"fmt"
+	"sync"
 
+	"cop/internal/bitio"
 	"cop/internal/compress"
+	"cop/internal/core"
 )
 
 const (
@@ -45,6 +50,7 @@ const (
 	// PayloadBytes is the compressed-data capacity.
 	PayloadBytes = BlockBytes - Beats - crcBytes // 54
 	crcBytes     = 2
+	recordBytes  = PayloadBytes + crcBytes
 )
 
 // Layout inside the 64-byte image:
@@ -53,7 +59,7 @@ const (
 //	bytes 54..55: CRC-16 of bytes 0..53
 //	bytes 56..63: per-beat parity — but images are stored *transposed* so
 //	              that byte i sits on chip i%8; the parity region's bytes
-//	              all land on chip 7 (see place/extract below).
+//	              all land on chip 7 (see seal/extractRecord below).
 //
 // To keep every parity byte on chip 7 we permute: logical byte L of the
 // protected record maps to physical byte phys(L) such that the 8 parity
@@ -62,8 +68,8 @@ const (
 
 // physOffsets returns the physical offset of each of the 56 data-record
 // bytes (payload+CRC), skipping chip 7's column.
-var physOffsets = func() [PayloadBytes + crcBytes]int {
-	var out [PayloadBytes + crcBytes]int
+var physOffsets = func() [recordBytes]int {
+	var out [recordBytes]int
 	i := 0
 	for off := 0; off < BlockBytes; off++ {
 		if off%Chips == Chips-1 {
@@ -75,29 +81,6 @@ var physOffsets = func() [PayloadBytes + crcBytes]int {
 	return out
 }()
 
-// Status mirrors core.StoreStatus for this codec.
-type Status int
-
-// Store statuses.
-const (
-	StoredProtected Status = iota
-	StoredRaw
-	RejectedAlias
-)
-
-func (s Status) String() string {
-	switch s {
-	case StoredProtected:
-		return "protected"
-	case StoredRaw:
-		return "raw"
-	case RejectedAlias:
-		return "alias-rejected"
-	default:
-		return fmt.Sprintf("Status(%d)", int(s))
-	}
-}
-
 // Info describes a decode.
 type Info struct {
 	// Protected reports whether the image decoded as a COP-CK record.
@@ -106,20 +89,27 @@ type Info struct {
 	FailedChip int
 }
 
-// ErrUncorrectable is returned when no failure hypothesis validates.
-var ErrUncorrectable = errors.New("chipkill: multi-chip corruption detected")
-
 // Codec compresses blocks and protects them against whole-chip failures.
 // Safe for concurrent use.
 type Codec struct {
 	scheme compress.Scheme
+	pool   sync.Pool // *scratch for EncodeInto and DecodeInto
+}
+
+// scratch holds the buffers one encode or decode works in.
+type scratch struct {
+	w   bitio.Writer
+	rd  bitio.Reader
+	rec [recordBytes]byte // payload + CRC
 }
 
 // New returns a COP-CK codec using MSB+RLE compression. TXT is excluded
 // for the same reason it misses the 8-byte configuration: its fixed
 // 448-bit output exceeds the 54-byte (432-bit) payload budget.
 func New() *Codec {
-	return &Codec{scheme: compress.NewCombinedOf(compress.MSB{Shifted: true}, compress.RLE{})}
+	c := &Codec{scheme: compress.NewCombinedOf(compress.MSB{Shifted: true}, compress.RLE{})}
+	c.pool.New = func() any { return new(scratch) }
+	return c
 }
 
 // crc16 is CRC-16/CCITT-FALSE — implemented locally; the model needs a
@@ -142,31 +132,59 @@ func crc16(data []byte) uint16 {
 // chipByte returns physical offset of beat b on chip c.
 func chipByte(c, b int) int { return b*Chips + c }
 
-// buildImage assembles the 64-byte image from a 56-byte record
-// (payload+CRC): record bytes go to the non-parity offsets, then parity is
-// computed per beat into chip 7's column.
-func buildImage(record []byte) []byte {
-	img := make([]byte, BlockBytes)
+// compress compresses block into sc's record and appends the payload's
+// CRC, reporting whether the block fits the payload budget. It writes no
+// image, so a caller can finish every step that may fail before it seals
+// one.
+func (c *Codec) compress(block []byte, sc *scratch) bool {
+	sc.w.Reset(8 * PayloadBytes)
+	nbits, ok := compress.CompressToWriter(c.scheme, &sc.w, block, 8*PayloadBytes)
+	if !ok {
+		return false
+	}
+	n := copy(sc.rec[:], sc.w.Bytes()[:(nbits+7)/8])
+	clear(sc.rec[n:PayloadBytes])
+	crc := crc16(sc.rec[:PayloadBytes])
+	sc.rec[PayloadBytes] = byte(crc >> 8)
+	sc.rec[PayloadBytes+1] = byte(crc)
+	return true
+}
+
+// seal writes the 64-byte image of rec into dst: record bytes go to the
+// non-parity offsets, then parity is computed per beat into chip 7's
+// column.
+func seal(dst []byte, rec *[recordBytes]byte) {
 	for i, off := range physOffsets {
-		img[off] = record[i]
+		dst[off] = rec[i]
 	}
 	for b := 0; b < Beats; b++ {
 		var p byte
 		for c := 0; c < Chips-1; c++ {
-			p ^= img[chipByte(c, b)]
+			p ^= dst[chipByte(c, b)]
 		}
-		img[chipByte(Chips-1, b)] = p
+		dst[chipByte(Chips-1, b)] = p
 	}
-	return img
 }
 
-// extractRecord pulls the 56-byte record out of an image (no checking).
-func extractRecord(img []byte) []byte {
-	rec := make([]byte, PayloadBytes+crcBytes)
+// extractRecord copies img's 56 record bytes into rec, rebuilding chip
+// failed's bytes from the other chips' parity (failed < 0: none; chip 7
+// holds no record bytes).
+func extractRecord(rec *[recordBytes]byte, img []byte, failed int) {
 	for i, off := range physOffsets {
 		rec[i] = img[off]
 	}
-	return rec
+	if failed < 0 || failed == Chips-1 {
+		return
+	}
+	for b := 0; b < Beats; b++ {
+		var p byte
+		for c := 0; c < Chips; c++ {
+			if c != failed {
+				p ^= img[chipByte(c, b)]
+			}
+		}
+		rec[b*(Chips-1)+failed] = p
+	}
 }
 
 // parityConsistent reports whether every beat's parity checks out.
@@ -184,89 +202,94 @@ func parityConsistent(img []byte) bool {
 }
 
 // recordValid checks the CRC over a candidate record.
-func recordValid(rec []byte) bool {
+func recordValid(rec *[recordBytes]byte) bool {
 	want := uint16(rec[PayloadBytes])<<8 | uint16(rec[PayloadBytes+1])
 	return crc16(rec[:PayloadBytes]) == want
 }
 
-// reconstruct returns a copy of img with chip c's bytes rebuilt from the
-// other chips' parity.
-func reconstruct(img []byte, c int) []byte {
-	out := make([]byte, BlockBytes)
-	copy(out, img)
-	for b := 0; b < Beats; b++ {
-		var p byte
-		for k := 0; k < Chips; k++ {
-			if k != c {
-				p ^= out[chipByte(k, b)]
-			}
-		}
-		out[chipByte(c, b)] = p
+// validRecord finds the first interpretation of img whose record
+// validates — intact when every beat's parity is consistent, else each
+// chip in turn rebuilt from the other chips' parity — and leaves that
+// record in rec. It returns the rebuilt chip (-1 for none) and ok=false
+// when no interpretation validates. With consistent parity a rebuilt chip
+// equals the stored one, so only the intact record is checked.
+func validRecord(rec *[recordBytes]byte, img []byte) (chip int, ok bool) {
+	if parityConsistent(img) {
+		extractRecord(rec, img, -1)
+		return -1, recordValid(rec)
 	}
-	return out
+	for chip := 0; chip < Chips; chip++ {
+		extractRecord(rec, img, chip)
+		if recordValid(rec) {
+			return chip, true
+		}
+	}
+	return -1, false
 }
 
 // looksProtected reports whether an image has any valid COP-CK
 // interpretation (the alias test).
-func (c *Codec) looksProtected(img []byte) bool {
-	if parityConsistent(img) && recordValid(extractRecord(img)) {
-		return true
-	}
-	for chip := 0; chip < Chips; chip++ {
-		if recordValid(extractRecord(reconstruct(img, chip))) {
-			return true
-		}
-	}
-	return false
+func looksProtected(img []byte) bool {
+	var rec [recordBytes]byte
+	_, ok := validRecord(&rec, img)
+	return ok
 }
 
-// Encode converts a plaintext block into its DRAM image.
-func (c *Codec) Encode(block []byte) (image []byte, status Status) {
-	if len(block) != BlockBytes {
-		panic("chipkill: Encode: block must be 64 bytes")
+// Encode is EncodeInto into a fresh image (nil on RejectedAlias).
+func (c *Codec) Encode(block []byte) (image []byte, status core.StoreStatus) {
+	image = make([]byte, BlockBytes)
+	if status = c.EncodeInto(image, block); status == core.RejectedAlias {
+		return nil, status
 	}
-	payload, nbits, ok := c.scheme.Compress(block, 8*PayloadBytes)
-	if !ok {
-		if c.looksProtected(block) {
-			return nil, RejectedAlias
-		}
-		image = make([]byte, BlockBytes)
-		copy(image, block)
-		return image, StoredRaw
-	}
-	record := make([]byte, PayloadBytes+crcBytes)
-	copy(record, payload[:(nbits+7)/8])
-	crc := crc16(record[:PayloadBytes])
-	record[PayloadBytes] = byte(crc >> 8)
-	record[PayloadBytes+1] = byte(crc)
-	return buildImage(record), StoredProtected
+	return image, status
 }
 
-// Decode converts a DRAM image back to plaintext, correcting a whole-chip
-// failure (or any corruption confined to one chip) in protected blocks.
+// EncodeInto converts a plaintext block into its DRAM image in dst
+// (BlockBytes long): StoredCompressed for a protected record, StoredRaw
+// for the block itself, RejectedAlias (dst left as it was) for a raw
+// block that would read as protected.
+func (c *Codec) EncodeInto(dst, block []byte) core.StoreStatus {
+	if len(block) != BlockBytes || len(dst) != BlockBytes {
+		panic("chipkill: EncodeInto: dst and block must be 64 bytes")
+	}
+	sc := c.pool.Get().(*scratch)
+	defer c.pool.Put(sc)
+	if c.compress(block, sc) {
+		seal(dst, &sc.rec)
+		return core.StoredCompressed
+	}
+	if looksProtected(block) {
+		return core.RejectedAlias
+	}
+	copy(dst, block)
+	return core.StoredRaw
+}
+
+// Decode is DecodeInto into a fresh block (nil on error).
 func (c *Codec) Decode(image []byte) (block []byte, info Info, err error) {
-	if len(image) != BlockBytes {
-		panic("chipkill: Decode: image must be 64 bytes")
+	block = make([]byte, BlockBytes)
+	if info, err = c.DecodeInto(block, image); err != nil {
+		return nil, info, err
 	}
-	info.FailedChip = -1
-	// Fast path: intact protected block.
-	if parityConsistent(image) {
-		rec := extractRecord(image)
-		if recordValid(rec) {
-			info.Protected = true
-			return c.decompress(rec, info)
-		}
-	} else {
-		// Parity broken somewhere: hypothesize each chip failed.
-		for chip := 0; chip < Chips; chip++ {
-			rec := extractRecord(reconstruct(image, chip))
-			if recordValid(rec) {
-				info.Protected = true
-				info.FailedChip = chip
-				return c.decompress(rec, info)
-			}
-		}
-		// No hypothesis validates. Either this is a raw block (parity
+	return block, info, nil
+}
+
+// DecodeInto converts a DRAM image back to plaintext in dst (BlockBytes
+// long), correcting a whole-chip failure (or any corruption confined to
+// one chip) in protected blocks. On error dst's contents are unspecified.
+func (c *Codec) DecodeInto(dst, image []byte) (Info, error) {
+	sc := c.pool.Get().(*scratch)
+	defer c.pool.Put(sc)
+	return c.decodeInto(dst, image, sc)
+}
+
+func (c *Codec) decodeInto(dst, image []byte, sc *scratch) (info Info, err error) {
+	if len(image) != BlockBytes || len(dst) != BlockBytes {
+		panic("chipkill: DecodeInto: dst and image must be 64 bytes")
+	}
+	info.FailedChip, info.Protected = validRecord(&sc.rec, image)
+	if !info.Protected {
+		// No interpretation validates. Either this is a raw block (parity
 		// over random data is essentially never consistent — so raw
 		// blocks normally land here) or a protected block with
 		// multi-chip damage. Telling them apart needs the raw-block
@@ -274,23 +297,19 @@ func (c *Codec) Decode(image []byte) (block []byte, info Info, err error) {
 		// back; genuinely protected blocks were validated at write time,
 		// so a multi-chip hit surfaces as garbage — the same silent-
 		// corruption corner COP accepts for <threshold code words.
+		copy(dst, image)
+		return info, nil
 	}
-	out := make([]byte, BlockBytes)
-	copy(out, image)
-	return out, info, nil
-}
-
-func (c *Codec) decompress(rec []byte, info Info) ([]byte, Info, error) {
-	block, err := c.scheme.Decompress(rec[:PayloadBytes], 8*PayloadBytes, 8*PayloadBytes)
-	if err != nil {
-		return nil, info, fmt.Errorf("chipkill: validated record failed to decompress: %w", err)
+	sc.rd.Reset(sc.rec[:PayloadBytes])
+	if err := compress.DecompressIntoBlock(c.scheme, dst, &sc.rd, 8*PayloadBytes, 8*PayloadBytes); err != nil {
+		return info, fmt.Errorf("chipkill: validated record failed to decompress: %w", err)
 	}
-	return block, info, nil
+	return info, nil
 }
 
 // IsAlias reports whether a block's raw form would be misread as
 // protected.
-func (c *Codec) IsAlias(block []byte) bool { return c.looksProtected(block) }
+func (c *Codec) IsAlias(block []byte) bool { return looksProtected(block) }
 
 // FailChip corrupts every byte chip c contributes to the image, simulating
 // a whole-chip (hard or peripheral) failure. The corruption pattern is

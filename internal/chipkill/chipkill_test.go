@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cop/internal/core"
+
 	"cop/internal/workload"
 )
 
@@ -43,7 +45,7 @@ func TestEncodeDecodeClean(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		b := pointerBlock(rng)
 		img, status := c.Encode(b)
-		if status != StoredProtected {
+		if status != core.StoredCompressed {
 			t.Fatalf("status = %v", status)
 		}
 		got, info, err := c.Decode(img)
@@ -61,7 +63,7 @@ func TestWholeChipFailureEveryChip(t *testing.T) {
 	c := New()
 	b := pointerBlock(rng)
 	img, status := c.Encode(b)
-	if status != StoredProtected {
+	if status != core.StoredCompressed {
 		t.Fatal("setup: block should protect")
 	}
 	for chip := 0; chip < Chips; chip++ {
@@ -112,10 +114,10 @@ func TestRawBlocksPassThrough(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		b := randomBlock(rng)
 		img, status := c.Encode(b)
-		if status == RejectedAlias {
+		if status == core.RejectedAlias {
 			continue
 		}
-		if status != StoredRaw {
+		if status != core.StoredRaw {
 			continue // random block happened to compress
 		}
 		raw++
@@ -181,7 +183,7 @@ func TestWorkloadCoverage(t *testing.T) {
 		protected, total := 0, 0
 		for _, blk := range p.SampleBlocks(500, 0xCC) {
 			total++
-			if _, status := c.Encode(blk); status == StoredProtected {
+			if _, status := c.Encode(blk); status == core.StoredCompressed {
 				protected++
 			}
 		}
@@ -211,7 +213,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		b := pointerBlock(rng)
 		img, status := c.Encode(b)
-		if status != StoredProtected {
+		if status != core.StoredCompressed {
 			return true
 		}
 		// Clean, then one random chip failure.
@@ -225,11 +227,5 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStatusString(t *testing.T) {
-	if StoredProtected.String() == "" || StoredRaw.String() == "" || RejectedAlias.String() == "" {
-		t.Fatal("status strings")
 	}
 }

@@ -2,16 +2,16 @@ package chipkill
 
 import (
 	"errors"
-	"fmt"
 
 	"cop/internal/bitio"
+	"cop/internal/core"
 	"cop/internal/ecc"
 	"cop/internal/eccregion"
 )
 
 // ERCodec extends COP-CK the way COP-ER extends COP: incompressible blocks
-// get chipkill protection too, via entries in a packed region (reusing
-// COP-ER's valid-bit-tree store with wider entries).
+// get chipkill protection too, via entries in COP-ER's packed region
+// (its valid-bit-tree store, with wider entries).
 //
 // An incompressible block displaces 68 bits for *two* SEC(34,28)-protected
 // copies of its region pointer — copy A lives on chips 0–3, copy B on
@@ -22,23 +22,29 @@ import (
 // into each 64-byte region block.
 //
 // Decoding a raw image recovers a pointer from either copy, fetches the
-// entry, restores the displaced bits, and resolves chip failure exactly as
-// the inline path does: hypothesize each failed chip, reconstruct it from
-// the (externally stored) parity, and accept the unique hypothesis whose
-// CRC validates.
+// entry, restores the displaced bits, and resolves chip failure as the
+// inline path does: hypothesize each failed chip in chip order,
+// reconstruct it from the (externally stored) parity, and accept the
+// first hypothesis whose CRC validates. As inline, a wrong hypothesis
+// whose CRC passes by chance decodes silently wrong.
+//
+// An ERCodec is not safe for concurrent use: it owns its region and the
+// inline codec's scratch buffers.
 type ERCodec struct {
 	ck        *Codec
-	store     *eccregion.PackedStore
+	sc        scratch // the inline codec's buffers
+	region    *eccregion.PackedStore
 	entryCode *ecc.Code // (157,148) SECDED over the entry payload
-	ptrCode   *ecc.Code // SEC(34,28) pointer code
-	copyA     []int     // 34 bit positions on chips 0..3
-	copyB     []int     // 34 bit positions on chips 4..7
+	displaced []int     // the 68 displaced bit positions: copy A's, then copy B's
+	copyA     []int     // displaced[:34], on chips 0..3
+	copyB     []int     // displaced[34:], on chips 4..7
 }
 
 const (
 	ckDisplacedBits = 68  // two pointer copies
 	ckEntryData     = 148 // displaced + 8B parity + CRC16
 	ckEntryCW       = 157 // + 9 SECDED check bits
+	ckEntryBytes    = (ckEntryCW + 7) / 8
 )
 
 // ERInfo describes a COP-CK-ER read.
@@ -54,10 +60,10 @@ type ERInfo struct {
 	UsedCopyB bool
 	// CorrectedEntry is set when the entry's SECDED repaired a fault.
 	CorrectedEntry bool
-	// Ptr is the region pointer whose entry the read used (NoPointer for
-	// an inline block). A chip failure can decode copy A to another live
-	// pointer while the block verifies through copy B; Ptr is then copy
-	// B's pointer.
+	// Ptr is the region pointer whose entry the read used
+	// (eccregion.NoPointer for an inline block). A chip failure can decode
+	// copy A to another live pointer while the block verifies through
+	// copy B; Ptr is then copy B's pointer.
 	Ptr uint32
 }
 
@@ -69,9 +75,8 @@ var ErrUnrecoverable = errors.New("chipkill: block unrecoverable")
 func NewER() *ERCodec {
 	er := &ERCodec{
 		ck:        New(),
-		store:     eccregion.NewPacked(ckEntryCW),
+		region:    eccregion.NewPacked(ckEntryCW),
 		entryCode: ecc.New(ckEntryCW, ckEntryData, ecc.Hsiao),
-		ptrCode:   ecc.SEC3428,
 	}
 	// Copy A occupies the bit positions of bytes on chips 0..3 in beat
 	// order (bytes 0,1,2,3 then 8,9,...), truncated to 34 bits; copy B
@@ -87,16 +92,14 @@ func NewER() *ERCodec {
 		}
 		return pos
 	}
-	er.copyA = fill(0)
-	er.copyB = fill(4)
+	er.displaced = append(fill(0), fill(4)...)
+	er.copyA, er.copyB = er.displaced[:34], er.displaced[34:]
 	return er
 }
 
-// Store exposes the region store (storage accounting, fault injection).
-func (er *ERCodec) Store() *eccregion.PackedStore { return er.store }
-
-// NoPointer is the sentinel for "no region entry".
-const NoPointer = ^uint32(0)
+// Region returns the codec's ECC region (storage accounting, fault
+// injection).
+func (er *ERCodec) Region() *eccregion.PackedStore { return er.region }
 
 // chipParity returns the 8 per-beat parity bytes over all chips.
 func chipParity(block []byte) [Beats]byte {
@@ -109,191 +112,132 @@ func chipParity(block []byte) [Beats]byte {
 	return p
 }
 
-// buildEntry packs displaced bits, parity, and CRC into a SECDED-protected
-// payload.
-func (er *ERCodec) buildEntry(block []byte) []byte {
-	data := make([]byte, (ckEntryData+7)/8)
-	displaced := er.extractDisplaced(block)
-	bitio.DepositBits(data, 0, displaced, ckDisplacedBits)
+// packEntry packs block's entry payload: its displaced bits, chip parity
+// and CRC, wrapped in the entry's SECDED code word.
+func (er *ERCodec) packEntry(entry *[ckEntryBytes]byte, block []byte) {
+	var data [(ckEntryData + 7) / 8]byte
+	bitio.Gather(data[:], block, er.displaced)
 	parity := chipParity(block)
-	bitio.DepositBits(data, ckDisplacedBits, parity[:], 64)
+	bitio.DepositBits(data[:], ckDisplacedBits, parity[:], 8*Beats)
 	crc := crc16(block)
-	bitio.DepositBits(data, ckDisplacedBits+64, []byte{byte(crc >> 8), byte(crc)}, 16)
-	return er.entryCode.Encode(data)
+	cb := [2]byte{byte(crc >> 8), byte(crc)}
+	bitio.DepositBits(data[:], ckDisplacedBits+8*Beats, cb[:], 16)
+	er.entryCode.EncodeInto(entry[:], data[:])
 }
 
-// parseEntry unpacks a (corrected) entry payload.
-func (er *ERCodec) parseEntry(payload []byte) (displaced []byte, parity [Beats]byte, crc uint16, corrected bool, err error) {
-	cw := make([]byte, er.entryCode.CodewordBytes())
-	copy(cw, payload)
-	res, _ := er.entryCode.Decode(cw)
-	if res == ecc.Uncorrectable {
-		return nil, parity, 0, false, fmt.Errorf("%w: region entry uncorrectable", ErrUnrecoverable)
-	}
-	data := er.entryCode.Data(cw)
-	displaced = bitio.ExtractBits(data, 0, ckDisplacedBits)
-	pb := bitio.ExtractBits(data, ckDisplacedBits, 64)
-	copy(parity[:], pb)
-	cb := bitio.ExtractBits(data, ckDisplacedBits+64, 16)
-	crc = uint16(cb[0])<<8 | uint16(cb[1])
-	return displaced, parity, crc, res == ecc.Corrected, nil
+// withPointer writes block into dst with both pointer copies deposited.
+func (er *ERCodec) withPointer(dst, block []byte, ptr uint32) {
+	copy(dst, block)
+	eccregion.PutPointer(dst, er.copyA, ptr)
+	eccregion.PutPointer(dst, er.copyB, ptr)
 }
 
-// extractDisplaced pulls the 68 displaced-position bits (copy A then copy
-// B positions carry original data before the pointers are deposited).
-func (er *ERCodec) extractDisplaced(block []byte) []byte {
-	out := make([]byte, (ckDisplacedBits+7)/8)
-	i := 0
-	for _, p := range er.copyA {
-		bitio.SetBit(out, i, bitio.Bit(block, p))
-		i++
-	}
-	for _, p := range er.copyB {
-		bitio.SetBit(out, i, bitio.Bit(block, p))
-		i++
-	}
-	return out
-}
-
-// depositDisplaced restores the 68 original bits into a block.
-func (er *ERCodec) depositDisplaced(block, bits []byte) {
-	i := 0
-	for _, p := range er.copyA {
-		bitio.SetBit(block, p, bitio.Bit(bits, i))
-		i++
-	}
-	for _, p := range er.copyB {
-		bitio.SetBit(block, p, bitio.Bit(bits, i))
-		i++
-	}
-}
-
-// ptrCodeword encodes ptr as a 34-bit SEC word.
-func (er *ERCodec) ptrCodeword(ptr uint32) []byte {
-	data := []byte{byte(ptr >> 20), byte(ptr >> 12), byte(ptr >> 4), byte(ptr << 4)}
-	return er.ptrCode.Encode(data)
-}
-
-// imageWithPointer deposits both pointer copies into a block copy.
-func (er *ERCodec) imageWithPointer(block []byte, ptr uint32) []byte {
-	cw := er.ptrCodeword(ptr)
-	img := make([]byte, BlockBytes)
-	copy(img, block)
-	for i, p := range er.copyA {
-		bitio.SetBit(img, p, bitio.Bit(cw, i))
-	}
-	for i, p := range er.copyB {
-		bitio.SetBit(img, p, bitio.Bit(cw, i))
-	}
-	return img
-}
-
-// decodePtr extracts and SEC-corrects one pointer copy.
-func (er *ERCodec) decodePtr(image []byte, positions []int) (uint32, bool) {
-	cw := make([]byte, er.ptrCode.CodewordBytes())
-	for i, p := range positions {
-		bitio.SetBit(cw, i, bitio.Bit(image, p))
-	}
-	if res, _ := er.ptrCode.Decode(cw); res == ecc.Uncorrectable {
-		return 0, false
-	}
-	pd := er.ptrCode.Data(cw)
-	return uint32(pd[0])<<20 | uint32(pd[1])<<12 | uint32(pd[2])<<4 | uint32(pd[3])>>4, true
-}
-
-// Write encodes a block under COP-CK-ER. prevPtr carries an existing
-// region entry (NoPointer otherwise).
+// Write is WriteInto into a fresh image; inline reports StoredCompressed.
 func (er *ERCodec) Write(block []byte, prevPtr uint32) (image []byte, ptr uint32, inline bool, err error) {
-	if len(block) != BlockBytes {
-		panic("chipkill: ERCodec.Write: block must be 64 bytes")
+	image = make([]byte, BlockBytes)
+	ptr, status, err := er.WriteInto(image, block, prevPtr)
+	if err != nil {
+		return nil, eccregion.NoPointer, false, err
 	}
-	if img, status := er.ck.Encode(block); status == StoredProtected {
-		if prevPtr != NoPointer && er.store.Valid(prevPtr) {
-			if ferr := er.store.Free(prevPtr); ferr != nil {
-				return nil, NoPointer, false, ferr
-			}
-		}
-		return img, NoPointer, true, nil
-	}
-
-	entry := er.buildEntry(block)
-	notAlias := func(p uint32) bool {
-		return !er.ck.looksProtected(er.imageWithPointer(block, p))
-	}
-	if prevPtr != NoPointer && er.store.Valid(prevPtr) {
-		if notAlias(prevPtr) {
-			if uerr := er.store.UpdatePayload(prevPtr, entry); uerr != nil {
-				return nil, NoPointer, false, uerr
-			}
-			return er.imageWithPointer(block, prevPtr), prevPtr, false, nil
-		}
-		if ferr := er.store.Free(prevPtr); ferr != nil {
-			return nil, NoPointer, false, ferr
-		}
-	}
-	p, aerr := er.store.AllocatePayload(entry, notAlias)
-	if aerr != nil {
-		return nil, NoPointer, false, aerr
-	}
-	return er.imageWithPointer(block, p), p, false, nil
+	return image, ptr, status == core.StoredCompressed, nil
 }
 
-// Read decodes a COP-CK-ER image, reconstructing a failed chip in either
-// the inline (compressed) or region-backed (raw) representation.
+// WriteInto encodes a block under COP-CK-ER into dst (BlockBytes long).
+// prevPtr carries an existing region entry (eccregion.NoPointer
+// otherwise); the region's reuse and free paths are applied. A block is
+// never rejected: an incompressible one gets a pointer that keeps its
+// image from reading as inline. On error dst is left as it was.
+func (er *ERCodec) WriteInto(dst, block []byte, prevPtr uint32) (ptr uint32, status core.StoreStatus, err error) {
+	if len(block) != BlockBytes || len(dst) != BlockBytes {
+		panic("chipkill: ERCodec.WriteInto: dst and block must be 64 bytes")
+	}
+	if er.ck.compress(block, &er.sc) {
+		er.region.Release(prevPtr)
+		seal(dst, &er.sc.rec)
+		return eccregion.NoPointer, core.StoredCompressed, nil
+	}
+
+	var entry [ckEntryBytes]byte
+	er.packEntry(&entry, block)
+	ptr, err = er.region.Place(prevPtr, entry[:], func(p uint32) bool {
+		var img [BlockBytes]byte
+		er.withPointer(img[:], block, p)
+		return !looksProtected(img[:])
+	})
+	if err != nil {
+		return eccregion.NoPointer, core.StoredRaw, err
+	}
+	er.withPointer(dst, block, ptr)
+	return ptr, core.StoredRaw, nil
+}
+
+// Read is ReadInto into a fresh block (nil on error).
 func (er *ERCodec) Read(image []byte) (block []byte, info ERInfo, err error) {
-	if len(image) != BlockBytes {
-		panic("chipkill: ERCodec.Read: image must be 64 bytes")
+	block = make([]byte, BlockBytes)
+	if info, err = er.ReadInto(block, image); err != nil {
+		return nil, info, err
+	}
+	return block, info, nil
+}
+
+// ReadInto decodes a COP-CK-ER image into dst (BlockBytes long, not
+// aliasing image), reconstructing a failed chip in either the inline
+// (compressed) or region-backed (raw) representation. On error dst's
+// contents are unspecified.
+func (er *ERCodec) ReadInto(dst, image []byte) (info ERInfo, err error) {
+	if len(image) != BlockBytes || len(dst) != BlockBytes {
+		panic("chipkill: ERCodec.ReadInto: dst and image must be 64 bytes")
 	}
 	info.FailedChip = -1
-	info.Ptr = NoPointer
+	info.Ptr = eccregion.NoPointer
 	// Inline path first: the compressed detector is unchanged.
-	if er.ck.looksProtected(image) {
-		b, ckInfo, derr := er.ck.Decode(image)
-		if derr == nil && ckInfo.Protected {
-			info.Protected = true
-			info.FailedChip = ckInfo.FailedChip
-			return b, info, nil
-		}
+	if ckInfo, derr := er.ck.decodeInto(dst, image, &er.sc); derr == nil && ckInfo.Protected {
+		info.Protected = true
+		info.FailedChip = ckInfo.FailedChip
+		return info, nil
 	}
 
 	// Raw path: recover the pointer from either copy.
 	info.RegionAccess = true
-	type cand struct {
-		ptr   uint32
-		copyB bool
+	ptrA, _, okA := eccregion.GetPointer(image, er.copyA)
+	ptrB, _, okB := eccregion.GetPointer(image, er.copyB)
+	if okA && er.readRaw(dst, image, ptrA, &info) {
+		return info, nil
 	}
-	var candidates []cand
-	if p, ok := er.decodePtr(image, er.copyA); ok {
-		candidates = append(candidates, cand{p, false})
+	if okB && (!okA || ptrB != ptrA) && er.readRaw(dst, image, ptrB, &info) {
+		info.UsedCopyB = true
+		return info, nil
 	}
-	if p, ok := er.decodePtr(image, er.copyB); ok {
-		if len(candidates) == 0 || candidates[0].ptr != p {
-			candidates = append(candidates, cand{p, true})
-		}
+	return info, ErrUnrecoverable
+}
+
+// readRaw recovers a raw image into dst through the entry at ptr: it
+// restores the displaced bits, then tries the no-failure hypothesis and
+// each failed chip, rebuilt from the entry's parity, in chip order. It
+// reports whether a hypothesis validated, filling info's entry fields
+// only then.
+func (er *ERCodec) readRaw(dst, image []byte, ptr uint32, info *ERInfo) bool {
+	var entry [ckEntryBytes]byte
+	if er.region.ReadPayload(entry[:], ptr) != nil {
+		return false
 	}
-	for _, c := range candidates {
-		payload, rerr := er.store.ReadPayload(c.ptr)
-		if rerr != nil {
-			continue
-		}
-		displaced, parity, crc, corrected, perr := er.parseEntry(payload)
-		if perr != nil {
-			continue
-		}
-		original := make([]byte, BlockBytes)
-		copy(original, image)
-		er.depositDisplaced(original, displaced)
-		// Hypothesis: no chip failed.
-		if chipParity(original) == parity && crc16(original) == crc {
-			info.UsedCopyB = c.copyB
-			info.CorrectedEntry = corrected
-			info.Ptr = c.ptr
-			return original, info, nil
-		}
-		// Hypothesize each failed chip and reconstruct it from parity.
-		for chip := 0; chip < Chips; chip++ {
-			fixed := make([]byte, BlockBytes)
-			copy(fixed, original)
+	res, _ := er.entryCode.Decode(entry[:])
+	if res == ecc.Uncorrectable {
+		return false
+	}
+	var parity [Beats]byte
+	var cb [2]byte
+	bitio.ExtractBitsInto(parity[:], entry[:], ckDisplacedBits, 8*Beats)
+	bitio.ExtractBitsInto(cb[:], entry[:], ckDisplacedBits+8*Beats, 16)
+	crc := uint16(cb[0])<<8 | uint16(cb[1])
+
+	copy(dst, image)
+	bitio.Scatter(dst, er.displaced, entry[:])
+	chip := -1
+	if chipParity(dst) != parity || crc16(dst) != crc {
+		var fixed [BlockBytes]byte
+		for chip = 0; chip < Chips; chip++ {
+			copy(fixed[:], dst)
 			for b := 0; b < Beats; b++ {
 				v := parity[b]
 				for k := 0; k < Chips; k++ {
@@ -303,14 +247,17 @@ func (er *ERCodec) Read(image []byte) (block []byte, info ERInfo, err error) {
 				}
 				fixed[chipByte(chip, b)] = v
 			}
-			if crc16(fixed) == crc {
-				info.FailedChip = chip
-				info.UsedCopyB = c.copyB
-				info.CorrectedEntry = corrected
-				info.Ptr = c.ptr
-				return fixed, info, nil
+			if crc16(fixed[:]) == crc {
+				break
 			}
 		}
+		if chip == Chips {
+			return false
+		}
+		copy(dst, fixed[:])
 	}
-	return nil, info, ErrUnrecoverable
+	info.FailedChip = chip
+	info.CorrectedEntry = res == ecc.Corrected
+	info.Ptr = ptr
+	return true
 }

@@ -2,16 +2,20 @@ package chipkill
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"cop/internal/core"
+	"cop/internal/eccregion"
 )
 
 func incompressibleCK(rng *rand.Rand, er *ERCodec) []byte {
 	for {
 		b := randomBlock(rng)
-		if _, status := er.ck.Encode(b); status != StoredProtected {
-			if !er.ck.looksProtected(b) {
+		if _, status := er.ck.Encode(b); status != core.StoredCompressed {
+			if !looksProtected(b) {
 				return b
 			}
 		}
@@ -22,8 +26,8 @@ func TestERInlinePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	er := NewER()
 	b := pointerBlock(rng)
-	img, ptr, inline, err := er.Write(b, NoPointer)
-	if err != nil || !inline || ptr != NoPointer {
+	img, ptr, inline, err := er.Write(b, eccregion.NoPointer)
+	if err != nil || !inline || ptr != eccregion.NoPointer {
 		t.Fatalf("inline write: %v inline=%v", err, inline)
 	}
 	got, info, err := er.Read(img)
@@ -33,7 +37,7 @@ func TestERInlinePath(t *testing.T) {
 	if !bytes.Equal(got, b) {
 		t.Fatal("round trip mismatch")
 	}
-	if er.Store().Telemetry().Live != 0 {
+	if er.Region().Telemetry().Live != 0 {
 		t.Fatal("inline blocks must not allocate entries")
 	}
 }
@@ -43,8 +47,8 @@ func TestERRawRoundTrip(t *testing.T) {
 	er := NewER()
 	for trial := 0; trial < 30; trial++ {
 		b := incompressibleCK(rng, er)
-		img, ptr, inline, err := er.Write(b, NoPointer)
-		if err != nil || inline || ptr == NoPointer {
+		img, ptr, inline, err := er.Write(b, eccregion.NoPointer)
+		if err != nil || inline || ptr == eccregion.NoPointer {
 			t.Fatalf("raw write: %v inline=%v ptr=%d", err, inline, ptr)
 		}
 		got, info, err := er.Read(img)
@@ -62,7 +66,7 @@ func TestERChipFailureOnRawBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	er := NewER()
 	b := incompressibleCK(rng, er)
-	img, _, _, err := er.Write(b, NoPointer)
+	img, _, _, err := er.Write(b, eccregion.NoPointer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestERChipFailureOnInlineBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	er := NewER()
 	b := pointerBlock(rng)
-	img, _, _, _ := er.Write(b, NoPointer)
+	img, _, _, _ := er.Write(b, eccregion.NoPointer)
 	for chip := 0; chip < Chips; chip++ {
 		dam := append([]byte(nil), img...)
 		FailChip(dam, chip, 0x3C)
@@ -116,7 +120,7 @@ func TestERSingleBitErrorsRawBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	er := NewER()
 	b := incompressibleCK(rng, er)
-	img, ptr, _, err := er.Write(b, NoPointer)
+	img, ptr, _, err := er.Write(b, eccregion.NoPointer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestERSingleBitErrorsRawBlocks(t *testing.T) {
 	}
 	// Entry-resident faults correct via the (157,148) code.
 	for bit := 1; bit < ckEntryCW+1; bit += 7 {
-		if !er.Store().FlipEntryBit(ptr, bit) {
+		if !er.Region().FlipEntryBit(ptr, bit) {
 			t.Fatalf("flip %d failed", bit)
 		}
 		got, info, rerr := er.Read(img)
@@ -143,7 +147,7 @@ func TestERSingleBitErrorsRawBlocks(t *testing.T) {
 		if !info.CorrectedEntry {
 			t.Fatalf("entry bit %d: correction not reported", bit)
 		}
-		er.Store().FlipEntryBit(ptr, bit)
+		er.Region().FlipEntryBit(ptr, bit)
 	}
 }
 
@@ -151,7 +155,7 @@ func TestEREntryReuseAndFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	er := NewER()
 	b := incompressibleCK(rng, er)
-	_, ptr, _, err := er.Write(b, NoPointer)
+	_, ptr, _, err := er.Write(b, eccregion.NoPointer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +171,11 @@ func TestEREntryReuseAndFree(t *testing.T) {
 	}
 	// Rewrite compressible: free.
 	_, ptr3, inline, err := er.Write(pointerBlock(rng), ptr)
-	if err != nil || !inline || ptr3 != NoPointer {
+	if err != nil || !inline || ptr3 != eccregion.NoPointer {
 		t.Fatalf("free path: %v", err)
 	}
-	if er.Store().Telemetry().Live != 0 {
-		t.Fatalf("entry leaked: %d", er.Store().Telemetry().Live)
+	if er.Region().Telemetry().Live != 0 {
+		t.Fatalf("entry leaked: %d", er.Region().Telemetry().Live)
 	}
 }
 
@@ -179,7 +183,7 @@ func TestERUnrecoverableMultiChip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	er := NewER()
 	b := incompressibleCK(rng, er)
-	img, _, _, _ := er.Write(b, NoPointer)
+	img, _, _, _ := er.Write(b, eccregion.NoPointer)
 	dam := append([]byte(nil), img...)
 	FailChip(dam, 1, 0x55)
 	FailChip(dam, 6, 0x99) // kills both pointer copies' home regions? copy A on 0-3, copy B on 4-7
@@ -194,10 +198,10 @@ func TestERUnrecoverableMultiChip(t *testing.T) {
 
 func TestERPackedEntryGeometry(t *testing.T) {
 	er := NewER()
-	if er.Store().PayloadBits() != ckEntryCW {
-		t.Fatalf("payload bits = %d", er.Store().PayloadBits())
+	if er.Region().PayloadBits() != ckEntryCW {
+		t.Fatalf("payload bits = %d", er.Region().PayloadBits())
 	}
-	if got := er.Store().EntriesPerBlockCount(); got != 3 {
+	if got := er.Region().EntriesPerBlockCount(); got != 3 {
 		t.Fatalf("entries per block = %d, want 3 (158-bit entries)", got)
 	}
 	// Copies must live on disjoint chip halves.
@@ -220,7 +224,7 @@ func TestERManyBlocks(t *testing.T) {
 	var all []stored
 	for i := 0; i < 100; i++ {
 		b := incompressibleCK(rng, er)
-		img, _, _, err := er.Write(b, NoPointer)
+		img, _, _, err := er.Write(b, eccregion.NoPointer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +254,7 @@ func TestERQuickArbitraryBlocks(t *testing.T) {
 		} else {
 			b = randomBlock(rng)
 		}
-		img, _, _, err := er.Write(b, NoPointer)
+		img, _, _, err := er.Write(b, eccregion.NoPointer)
 		if err != nil {
 			return false
 		}
@@ -274,7 +278,7 @@ func TestERReadPtr(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	er := NewER()
 	b := incompressibleCK(rng, er)
-	img, ptr, _, err := er.Write(b, NoPointer)
+	img, ptr, _, err := er.Write(b, eccregion.NoPointer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +286,46 @@ func TestERReadPtr(t *testing.T) {
 		t.Fatalf("Read Ptr = (%d,%v), want (%d,nil)", info.Ptr, err, ptr)
 	}
 	// Inline images carry no pointer.
-	inlineImg, _, _, _ := er.Write(pointerBlock(rng), NoPointer)
-	if _, info, err := er.Read(inlineImg); err != nil || info.Ptr != NoPointer {
-		t.Fatalf("inline image read Ptr = (%d,%v), want NoPointer", info.Ptr, err)
+	inlineImg, _, _, _ := er.Write(pointerBlock(rng), eccregion.NoPointer)
+	if _, info, err := er.Read(inlineImg); err != nil || info.Ptr != eccregion.NoPointer {
+		t.Fatalf("inline image read Ptr = (%d,%v), want eccregion.NoPointer", info.Ptr, err)
+	}
+}
+
+// TestERStoredBytesFixed pins COP-CK-ER's stored form: a fixed raw block,
+// written 45 times without a pointer so its last entry is number 44, has
+// kept the image (both pointer copies) and the 157-bit region payload the
+// codec has always stored.
+func TestERStoredBytesFixed(t *testing.T) {
+	const (
+		wantImage   = "000002c6000002c6461abd8b4a320c5b7b09888f963ed2a971ecabcb015b26f959fe84499f72d9ccb09a27e80013c8d30b3bee912ba0e2e4f1135ade7cc0fc70"
+		wantPayload = "a94320931615547a6ecc5a67892edc2561322330"
+	)
+	block := make([]byte, BlockBytes)
+	x := uint64(0x243F6A8885A308D3)
+	for i := range block {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		block[i] = byte(x >> 24)
+	}
+	er := NewER()
+	var img []byte
+	var ptr uint32
+	for i := 0; i < 45; i++ {
+		var err error
+		if img, ptr, _, err = er.Write(block, eccregion.NoPointer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := make([]byte, er.Region().PayloadBytes())
+	if err := er.Region().ReadPayload(payload, ptr); err != nil || ptr != 44 {
+		t.Fatalf("ptr %d, %v", ptr, err)
+	}
+	if got := hex.EncodeToString(img); got != wantImage {
+		t.Errorf("image %s, want %s", got, wantImage)
+	}
+	if got := hex.EncodeToString(payload); got != wantPayload {
+		t.Errorf("payload %s, want %s", got, wantPayload)
 	}
 }

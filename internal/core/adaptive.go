@@ -41,40 +41,51 @@ func NewAdaptiveCodec() *AdaptiveCodec {
 	}
 }
 
-// Encode stores the block in the strongest format it fits.
+// Encode is EncodeInto into a fresh image (nil on RejectedAlias).
 func (a *AdaptiveCodec) Encode(block []byte) (image []byte, format AdaptiveFormat, status StoreStatus) {
-	if img, st := a.strong.Encode(block); st == StoredCompressed {
+	sc := a.standard.pool.Get().(*CodecScratch)
+	image = make([]byte, BlockBytes)
+	format, status = a.EncodeInto(image, block, sc)
+	a.standard.pool.Put(sc)
+	if status == RejectedAlias {
+		return nil, format, status
+	}
+	return image, format, status
+}
+
+// EncodeInto stores the block in the strongest format it fits, writing
+// the image into dst (BlockBytes long) with sc's buffers. On
+// RejectedAlias dst is left as it was.
+func (a *AdaptiveCodec) EncodeInto(dst, block []byte, sc *CodecScratch) (AdaptiveFormat, StoreStatus) {
+	if len(block) != BlockBytes || len(dst) != BlockBytes {
+		panic("core: AdaptiveCodec.EncodeInto: dst and block must be 64 bytes")
+	}
+	var img [BlockBytes]byte
+	if a.strong.compress(block, sc) {
+		a.strong.seal(img[:], sc)
 		// Guard against cross-format aliasing: the strong image must not
 		// read as a standard-format block (astronomically unlikely, but
 		// the check is cheap and makes the decode order sound).
-		if a.standard.CountValidCodewords(img) < a.standard.cfg.Threshold {
-			return img, FormatStrong, StoredCompressed
+		if !a.standard.meetsThreshold(img[:]) {
+			copy(dst, img[:])
+			return FormatStrong, StoredCompressed
 		}
 	}
-	img, st := a.standard.Encode(block)
-	switch st {
-	case StoredCompressed:
-		if a.strong.CountValidCodewords(img) < a.strong.cfg.Threshold {
-			return img, FormatStandard, StoredCompressed
+	if a.standard.compress(block, sc) {
+		a.standard.seal(img[:], sc)
+		if !a.strong.meetsThreshold(img[:]) {
+			copy(dst, img[:])
+			return FormatStandard, StoredCompressed
 		}
 		// The standard image aliases as strong-format: fall through to
 		// raw handling (equivalent to an incompressible block).
-		if a.standard.CountValidCodewords(block) >= a.standard.cfg.Threshold ||
-			a.strong.CountValidCodewords(block) >= a.strong.cfg.Threshold {
-			return nil, FormatRaw, RejectedAlias
-		}
-		image = make([]byte, BlockBytes)
-		copy(image, block)
-		return image, FormatRaw, StoredRaw
-	case StoredRaw:
-		// Raw blocks must not alias in either format.
-		if a.strong.CountValidCodewords(block) >= a.strong.cfg.Threshold {
-			return nil, FormatRaw, RejectedAlias
-		}
-		return img, FormatRaw, StoredRaw
-	default:
-		return nil, FormatRaw, RejectedAlias
 	}
+	// Raw blocks must not alias in either format.
+	if a.standard.meetsThreshold(block) || a.strong.meetsThreshold(block) {
+		return FormatRaw, RejectedAlias
+	}
+	copy(dst, block)
+	return FormatRaw, StoredRaw
 }
 
 // WouldReject reports whether Encode would return RejectedAlias, without
@@ -92,17 +103,35 @@ func (a *AdaptiveCodec) WouldReject(block []byte) bool {
 	return status == RejectedAlias
 }
 
-// Decode detects the format (strong first) and recovers the block.
+// Decode is DecodeInto into a fresh block (nil on error).
 func (a *AdaptiveCodec) Decode(image []byte) (block []byte, format AdaptiveFormat, info DecodeInfo, err error) {
-	if a.strong.CountValidCodewords(image) >= a.strong.cfg.Threshold {
-		b, inf, e := a.strong.Decode(image)
-		return b, FormatStrong, inf, e
+	sc := a.standard.pool.Get().(*CodecScratch)
+	block = make([]byte, BlockBytes)
+	format, info, err = a.DecodeInto(block, image, sc)
+	if len(info.CorrectedSegments) > 0 {
+		info.CorrectedSegments = append([]int(nil), info.CorrectedSegments...)
 	}
-	b, inf, e := a.standard.Decode(image)
-	if inf.Compressed {
-		return b, FormatStandard, inf, e
+	a.standard.pool.Put(sc)
+	if err != nil {
+		return nil, format, info, err
 	}
-	return b, FormatRaw, inf, e
+	return block, format, info, nil
+}
+
+// DecodeInto detects the format (strong first) and recovers the block
+// into dst (BlockBytes long) with sc's buffers. On error dst's contents
+// are unspecified; info.CorrectedSegments aliases sc, as in
+// Codec.DecodeInto.
+func (a *AdaptiveCodec) DecodeInto(dst, image []byte, sc *CodecScratch) (AdaptiveFormat, DecodeInfo, error) {
+	if a.strong.meetsThreshold(image) {
+		info, err := a.strong.DecodeInto(dst, image, sc)
+		return FormatStrong, info, err
+	}
+	info, err := a.standard.DecodeInto(dst, image, sc)
+	if info.Compressed {
+		return FormatStandard, info, err
+	}
+	return FormatRaw, info, err
 }
 
 // Strong and Standard expose the underlying codecs (for analysis).

@@ -259,30 +259,44 @@ func (c *Codec) Encode(block []byte) (image []byte, status StoreStatus) {
 }
 
 // EncodeInto is the zero-allocation Encode: the DRAM image is written into
-// dst (BlockBytes long) using only sc's buffers. On RejectedAlias dst's
-// contents are unspecified. The image bytes are identical to Encode's.
+// dst (BlockBytes long) using only sc's buffers. On RejectedAlias dst is
+// left as it was. The image bytes are identical to Encode's.
 func (c *Codec) EncodeInto(dst, block []byte, sc *CodecScratch) StoreStatus {
 	if len(block) != BlockBytes || len(dst) != BlockBytes {
 		panic("core: EncodeInto: dst and block must be 64 bytes")
 	}
+	if c.compress(block, sc) {
+		c.seal(dst, sc)
+		return StoredCompressed
+	}
+	if c.meetsThreshold(block) {
+		return RejectedAlias
+	}
+	copy(dst, block)
+	return StoredRaw
+}
+
+// compress compresses block into sc's payload, zero-padded to the full
+// data capacity, and reports whether it fit. It writes no image, so a
+// caller can finish every step that may fail before it seals dst.
+func (c *Codec) compress(block []byte, sc *CodecScratch) bool {
 	c.fit(sc)
 	sc.w.Reset(c.capBits)
 	nbits, ok := compress.CompressToWriter(c.cfg.Scheme, &sc.w, block, c.capBits)
 	if !ok {
-		if c.meetsThreshold(block) {
-			return RejectedAlias
-		}
-		copy(dst, block)
-		return StoredRaw
+		return false
 	}
-
-	// Zero-pad the payload to the full data capacity and cut it into
-	// Segments chunks of K bits each.
 	padded := sc.payload[:BlockBytes]
 	n := copy(padded, sc.w.Bytes()[:(nbits+7)/8])
-	for i := n; i < BlockBytes; i++ {
-		padded[i] = 0
-	}
+	clear(padded[n:])
+	return true
+}
+
+// seal writes the protected image of the payload compress left in sc into
+// dst: the payload cut into Segments chunks of K bits, each encoded and
+// hash-masked.
+func (c *Codec) seal(dst []byte, sc *CodecScratch) {
+	padded := sc.payload[:BlockBytes]
 	if c.wordOK {
 		var pw [9]uint64
 		for i := 0; i < 8; i++ {
@@ -301,7 +315,7 @@ func (c *Codec) EncodeInto(dst, block []byte, sc *CodecScratch) StoreStatus {
 				binary.BigEndian.PutUint64(dst[c.segOff[s]+8:], hi^c.hashHi[s])
 			}
 		}
-		return StoredCompressed
+		return
 	}
 
 	data := sc.data[:(c.kBits+7)/8]
@@ -313,7 +327,6 @@ func (c *Codec) EncodeInto(dst, block []byte, sc *CodecScratch) StoreStatus {
 			c.hash.Apply(s, cw)
 		}
 	}
-	return StoredCompressed
 }
 
 // Decode converts a DRAM image back into the plaintext block, applying the

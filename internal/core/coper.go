@@ -20,12 +20,14 @@ import (
 // values that would leave the stored image an alias: with the pointer
 // overlapping every code word, some nearby free entry always breaks the
 // coincidence.
+//
+// An ERCodec is not safe for concurrent use: it owns its region and the
+// codec's scratch buffers.
 type ERCodec struct {
-	codec     *Codec
-	region    *eccregion.Region
-	blockCode *ecc.Code // (523,512) whole-block code
-	ptrCode   *ecc.Code // (34,28) pointer code
-	ptrPos    []int     // the 34 displaced bit positions
+	codec  *Codec
+	sc     *CodecScratch // the codec's buffers; an ERCodec is single-threaded, like its region
+	region *eccregion.PackedStore
+	ptrPos []int // the 34 displaced bit positions
 }
 
 // ERReadInfo describes a COP-ER read.
@@ -52,19 +54,17 @@ type ERReadInfo struct {
 // ErrRegion wraps ECC-region failures surfaced during reads.
 var ErrRegion = errors.New("core: ECC region lookup failed")
 
+// erPayloadBytes is the byte length of a COP-ER entry payload: the 34
+// displaced bits, then the block's 11 (523,512) check bits.
+const erPayloadBytes = (eccregion.EntryBits - 1 + 7) / 8
+
 // NewERCodec builds a COP-ER codec over a fresh ECC region.
 func NewERCodec(cfg Config) *ERCodec {
-	return NewERCodecWithRegion(cfg, eccregion.New())
-}
-
-// NewERCodecWithRegion builds a COP-ER codec over an existing region (the
-// memory controller shares one region across the whole address space).
-func NewERCodecWithRegion(cfg Config, region *eccregion.Region) *ERCodec {
+	codec := NewCodec(cfg)
 	er := &ERCodec{
-		codec:     NewCodec(cfg),
-		region:    region,
-		blockCode: ecc.SECDED523512,
-		ptrCode:   ecc.SEC3428,
+		codec:  codec,
+		sc:     codec.NewScratch(),
+		region: eccregion.NewPacked(eccregion.EntryBits - 1),
 	}
 	// Distribute the 34 displaced bits across segments, front of each:
 	// 9+9+8+8 for COP-4, 5+5+4+4+4+4+4+4 for COP-8.
@@ -89,164 +89,122 @@ func NewERCodecWithRegion(cfg Config, region *eccregion.Region) *ERCodec {
 // Codec returns the underlying COP codec.
 func (er *ERCodec) Codec() *Codec { return er.codec }
 
-// Region returns the shared ECC region (for storage accounting).
-func (er *ERCodec) Region() *eccregion.Region { return er.region }
+// Region returns the codec's ECC region (storage accounting, fault
+// injection).
+func (er *ERCodec) Region() *eccregion.PackedStore { return er.region }
 
 // NoPointer is the sentinel for "block has no ECC-region entry".
-const NoPointer = ^uint32(0)
+const NoPointer = eccregion.NoPointer
 
-// extractDisplaced pulls the 34 displaced-position bits out of a block.
-func (er *ERCodec) extractDisplaced(block []byte) []byte {
-	out := make([]byte, (eccregion.DisplacedBits+7)/8)
-	for i, p := range er.ptrPos {
-		if bitio.Bit(block, p) != 0 {
-			bitio.SetBit(out, i, 1)
-		}
+// withPointer writes block into dst with the encoded pointer word
+// occupying the displaced positions.
+func (er *ERCodec) withPointer(dst, block []byte, ptr uint32) {
+	copy(dst, block)
+	eccregion.PutPointer(dst, er.ptrPos, ptr)
+}
+
+// Write is WriteInto into a fresh image; compressed reports
+// StoredCompressed.
+func (er *ERCodec) Write(block []byte, prevPtr uint32) (image []byte, ptr uint32, compressed bool, err error) {
+	image = make([]byte, BlockBytes)
+	ptr, status, err := er.WriteInto(image, block, prevPtr)
+	if err != nil {
+		return nil, NoPointer, false, err
 	}
-	return out
+	return image, ptr, status == StoredCompressed, nil
 }
 
-// depositDisplaced writes 34 bits into the displaced positions of a block.
-func (er *ERCodec) depositDisplaced(block, bits []byte) {
-	for i, p := range er.ptrPos {
-		bitio.SetBit(block, p, bitio.Bit(bits, i))
-	}
-}
-
-// imageWithPointer returns block with the encoded pointer word occupying
-// the displaced positions.
-func (er *ERCodec) imageWithPointer(block []byte, ptr uint32) []byte {
-	data := []byte{byte(ptr >> 20), byte(ptr >> 12), byte(ptr >> 4), byte(ptr << 4)}
-	cw := er.ptrCode.Encode(data)
-	img := make([]byte, BlockBytes)
-	copy(img, block)
-	er.depositDisplaced(img, cw)
-	return img
-}
-
-// blockParity computes the 11 (523,512) check bits for a full block.
-func (er *ERCodec) blockParity(block []byte) uint16 {
-	cw := er.blockCode.Encode(block)
-	pb := bitio.ExtractBits(cw, 512, eccregion.ParityBits)
-	return uint16(pb[0])<<3 | uint16(pb[1])>>5
-}
-
-// Write encodes a block for DRAM under COP-ER.
+// WriteInto encodes a block for DRAM under COP-ER into dst (BlockBytes
+// long).
 //
 // prevPtr carries the block's existing ECC-region pointer when the LLC's
-// "was uncompressed" bit was set (NoPointer otherwise); the paper's reuse
+// "was uncompressed" bit was set (NoPointer otherwise); the region's reuse
 // and free paths are applied. The returned ptr is NoPointer for compressed
-// blocks and the live entry pointer for incompressible ones.
-func (er *ERCodec) Write(block []byte, prevPtr uint32) (image []byte, ptr uint32, compressed bool, err error) {
-	if len(block) != BlockBytes {
-		panic("core: ERCodec.Write: block must be 64 bytes")
+// blocks and the live entry pointer for incompressible ones. COP-ER never
+// rejects a block: an incompressible one gets a pointer that keeps its
+// image alias-free. On error dst is left as it was.
+func (er *ERCodec) WriteInto(dst, block []byte, prevPtr uint32) (ptr uint32, status StoreStatus, err error) {
+	if len(block) != BlockBytes || len(dst) != BlockBytes {
+		panic("core: ERCodec.WriteInto: dst and block must be 64 bytes")
 	}
-	if img, status := er.codec.Encode(block); status == StoredCompressed {
-		// Back to compressible: drop any stale entry (paper: "the
-		// original ECC entry is invalidated").
-		if prevPtr != NoPointer && er.region.Valid(prevPtr) {
-			if ferr := er.region.Free(prevPtr); ferr != nil {
-				return nil, NoPointer, false, ferr
-			}
-		}
-		return img, NoPointer, true, nil
+	if er.codec.compress(block, er.sc) {
+		er.region.Release(prevPtr)
+		er.codec.seal(dst, er.sc)
+		return NoPointer, StoredCompressed, nil
 	}
 
-	entry := eccregion.Entry{
-		Displaced: er.extractDisplaced(block),
-		Parity:    er.blockParity(block),
+	var payload [erPayloadBytes]byte
+	var cw [BlockBytes + 2]byte // the block's (523,512) code word
+	bitio.Gather(payload[:], block, er.ptrPos)
+	ecc.SECDED523512.EncodeInto(cw[:], block)
+	bitio.DepositBits(payload[:], eccregion.DisplacedBits, cw[BlockBytes:], eccregion.ParityBits)
+	ptr, err = er.region.Place(prevPtr, payload[:], func(p uint32) bool {
+		var img [BlockBytes]byte
+		er.withPointer(img[:], block, p)
+		return !er.codec.IsAlias(img[:])
+	})
+	if err != nil {
+		return NoPointer, StoredRaw, err
 	}
-	notAlias := func(p uint32) bool {
-		return !er.codec.IsAlias(er.imageWithPointer(block, p))
-	}
-	if prevPtr != NoPointer && er.region.Valid(prevPtr) {
-		// Still incompressible: reuse the entry if the pointer keeps the
-		// image alias-free, else reallocate.
-		if notAlias(prevPtr) {
-			if uerr := er.region.Update(prevPtr, entry); uerr != nil {
-				return nil, NoPointer, false, uerr
-			}
-			return er.imageWithPointer(block, prevPtr), prevPtr, false, nil
-		}
-		if ferr := er.region.Free(prevPtr); ferr != nil {
-			return nil, NoPointer, false, ferr
-		}
-	}
-	p, aerr := er.region.Allocate(entry, notAlias)
-	if aerr != nil {
-		return nil, NoPointer, false, aerr
-	}
-	return er.imageWithPointer(block, p), p, false, nil
+	er.withPointer(dst, block, ptr)
+	return ptr, StoredRaw, nil
 }
 
-// pointerOf extracts (and single-error-corrects) the ECC-region pointer
-// embedded in a raw COP-ER image. ok is false when the pointer word is
-// uncorrectable.
-func (er *ERCodec) pointerOf(image []byte) (ptr uint32, corrected, ok bool) {
-	ptrCW := make([]byte, er.ptrCode.CodewordBytes())
-	for i, p := range er.ptrPos {
-		bitio.SetBit(ptrCW, i, bitio.Bit(image, p))
-	}
-	res, _ := er.ptrCode.Decode(ptrCW)
-	if res == ecc.Uncorrectable {
-		return 0, false, false
-	}
-	pd := er.ptrCode.Data(ptrCW)
-	ptr = uint32(pd[0])<<20 | uint32(pd[1])<<12 | uint32(pd[2])<<4 | uint32(pd[3])>>4
-	return ptr, res == ecc.Corrected, true
-}
-
-// Read decodes a COP-ER DRAM image back to the plaintext block.
+// Read is ReadInto into a fresh block.
 func (er *ERCodec) Read(image []byte) (block []byte, info ERReadInfo, err error) {
-	if len(image) != BlockBytes {
-		panic("core: ERCodec.Read: image must be 64 bytes")
+	block = make([]byte, BlockBytes)
+	if info, err = er.ReadInto(block, image); err != nil {
+		return nil, info, err
+	}
+	return block, info, nil
+}
+
+// ReadInto decodes a COP-ER DRAM image into dst (BlockBytes long, not
+// aliasing image). On error dst's contents are unspecified.
+func (er *ERCodec) ReadInto(dst, image []byte) (info ERReadInfo, err error) {
+	if len(image) != BlockBytes || len(dst) != BlockBytes {
+		panic("core: ERCodec.ReadInto: dst and image must be 64 bytes")
 	}
 	info.Ptr = NoPointer
-	valid := er.codec.CountValidCodewords(image)
-	info.ValidCodewords = valid
-	if valid >= er.codec.cfg.Threshold {
-		b, dinfo, derr := er.codec.Decode(image)
+	dinfo, derr := er.codec.DecodeInto(dst, image, er.sc)
+	info.ValidCodewords = dinfo.ValidCodewords
+	if dinfo.Compressed {
 		info.Compressed = true
 		info.CorrectedBlock = len(dinfo.CorrectedSegments) > 0
-		return b, info, derr
+		return info, derr
 	}
 
 	// Incompressible: recover the pointer, fetch the entry, reassemble,
 	// and check the whole block.
 	info.RegionAccess = true
-	ptr, corrected, ok := er.pointerOf(image)
+	ptr, corrected, ok := eccregion.GetPointer(image, er.ptrPos)
 	if !ok {
-		return nil, info, fmt.Errorf("%w: pointer uncorrectable", ErrRegion)
+		return info, fmt.Errorf("%w: pointer uncorrectable", ErrRegion)
 	}
 	info.CorrectedPointer = corrected
-
-	entry, rerr := er.region.Read(ptr)
-	if rerr != nil {
-		return nil, info, fmt.Errorf("%w: %v", ErrRegion, rerr)
+	var payload [erPayloadBytes]byte
+	if rerr := er.region.ReadPayload(payload[:], ptr); rerr != nil {
+		return info, fmt.Errorf("%w: %v", ErrRegion, rerr)
 	}
 	info.Ptr = ptr
 
-	original := make([]byte, BlockBytes)
-	copy(original, image)
-	er.depositDisplaced(original, entry.Displaced)
-
-	cw := make([]byte, er.blockCode.CodewordBytes())
-	copy(cw, original)
-	var pb [2]byte
-	pb[0] = byte(entry.Parity >> 3)
-	pb[1] = byte(entry.Parity << 5)
-	bitio.DepositBits(cw, 512, pb[:], eccregion.ParityBits)
-	bres, _ := er.blockCode.Decode(cw)
-	switch bres {
+	// The block's code word: the image with its displaced bits restored,
+	// then the entry's check bits.
+	var cw [BlockBytes + 2]byte
+	var check [2]byte
+	copy(cw[:], image)
+	bitio.Scatter(cw[:], er.ptrPos, payload[:])
+	bitio.ExtractBitsInto(check[:], payload[:], eccregion.DisplacedBits, eccregion.ParityBits)
+	bitio.DepositBits(cw[:], 8*BlockBytes, check[:], eccregion.ParityBits)
+	switch res, _ := ecc.SECDED523512.Decode(cw[:]); res {
 	case ecc.Corrected:
 		info.CorrectedBlock = true
-		original = er.blockCode.Data(cw)
 	case ecc.Uncorrectable:
-		return nil, info, ErrUncorrectable
+		return info, ErrUncorrectable
 	}
 	// A corrected bit may have been one of the displaced positions whose
 	// DRAM copy held the pointer — the data copy in the entry is
-	// authoritative either way, and Data() above already reflects the
-	// corrected word.
-	return original, info, nil
+	// authoritative either way, and the corrected code word reflects it.
+	copy(dst, cw[:BlockBytes])
+	return info, nil
 }

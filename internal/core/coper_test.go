@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"cop/internal/bitio"
+	"cop/internal/ecc"
 	"cop/internal/eccregion"
 )
 
@@ -194,18 +196,18 @@ func TestERPointerRoundTripQuick(t *testing.T) {
 	er := NewERCodec(NewConfig4())
 	f := func(ptr uint32) bool {
 		ptr &= eccregion.MaxEntries - 1
-		block := make([]byte, BlockBytes)
-		img := er.imageWithPointer(block, ptr)
-		cw := make([]byte, er.ptrCode.CodewordBytes())
-		for i, p := range er.ptrPos {
-			bitio.SetBit(cw, i, bitio.Bit(img, p))
-		}
-		if !er.ptrCode.Valid(cw) {
+		img := make([]byte, BlockBytes)
+		er.withPointer(img, make([]byte, BlockBytes), ptr)
+		// Check the word-parallel pointer code against the byte-path code.
+		cw := make([]byte, ecc.SEC3428.CodewordBytes())
+		bitio.Gather(cw, img, er.ptrPos)
+		if !ecc.SEC3428.Valid(cw) {
 			return false
 		}
-		pd := er.ptrCode.Data(cw)
-		got := uint32(pd[0])<<20 | uint32(pd[1])<<12 | uint32(pd[2])<<4 | uint32(pd[3])>>4
-		return got == ptr
+		pd := ecc.SEC3428.Data(cw)
+		byByte := uint32(pd[0])<<20 | uint32(pd[1])<<12 | uint32(pd[2])<<4 | uint32(pd[3])>>4
+		got, corrected, ok := eccregion.GetPointer(img, er.ptrPos)
+		return byByte == ptr && ok && !corrected && got == ptr
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -378,5 +380,58 @@ func TestERRegionEntryBitFlipsCorrected(t *testing.T) {
 	}
 	if !er.Region().FlipEntryBit(ptr, 1) || er.Region().FlipEntryBit(1<<27, 1) {
 		t.Fatal("FlipEntryBit bounds handling")
+	}
+}
+
+// xorshiftBlock is a fixed incompressible block, the same on every build.
+func xorshiftBlock() []byte {
+	b := make([]byte, BlockBytes)
+	x := uint64(0x243F6A8885A308D3)
+	for i := range b {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		b[i] = byte(x >> 24)
+	}
+	return b
+}
+
+// TestERStoredBytesFixed pins COP-ER's stored form: a fixed raw block,
+// written 45 times without a pointer so its last entry is number 44, has
+// kept the image and the region payload (34 displaced bits, then the 11
+// (523,512) check bits) the codec has always stored.
+func TestERStoredBytesFixed(t *testing.T) {
+	cases := []struct {
+		name           string
+		cfg            Config
+		image, payload string
+	}{
+		{"cop-4", NewConfig4(),
+			"00432093585551e9061abd8b8a320c5b0009888f963ed2a971ecabcb015b26f90bfe84499f72d9ccb09a27e80013c8d3193bee912ba0e2e4f1135ade7cc0fc70",
+			"a93d9642c8c0"},
+		{"cop-8", NewConfig8(),
+			"01432093585551e9061abd8b8a320c5b0b09888f963ed2a901ecabcb015b26f909fe84499f72d9ccb09a27e80013c8d31b3bee912ba0e2e491135ade7cc0fc70",
+			"a81dd6c3c8c0"},
+	}
+	for _, tc := range cases {
+		er := NewERCodec(tc.cfg)
+		var img []byte
+		var ptr uint32
+		for i := 0; i < 45; i++ {
+			var err error
+			if img, ptr, _, err = er.Write(xorshiftBlock(), NoPointer); err != nil {
+				t.Fatal(err)
+			}
+		}
+		payload := make([]byte, er.Region().PayloadBytes())
+		if err := er.Region().ReadPayload(payload, ptr); err != nil || ptr != 44 {
+			t.Fatalf("%s: ptr %d, %v", tc.name, ptr, err)
+		}
+		if got := hex.EncodeToString(img); got != tc.image {
+			t.Errorf("%s: image %s, want %s", tc.name, got, tc.image)
+		}
+		if got := hex.EncodeToString(payload); got != tc.payload {
+			t.Errorf("%s: payload %s, want %s", tc.name, got, tc.payload)
+		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 	"cop/internal/trace"
 )
 
-// PackedStore is the generic engine behind the ECC region: fixed-size
-// payload entries packed densely into 64-byte blocks (each prefixed by a
-// valid bit), located through the paper's three-level valid-bit tree
-// (Figure 7) with an MRU cursor, growing on demand. The COP-ER Region
-// wraps it with 45-bit entries; the chipkill extension wraps it with
-// 148-bit entries.
+// PackedStore is an ECC region: fixed-size payload entries packed densely
+// into 64-byte blocks (each prefixed by a valid bit), located through the
+// paper's three-level valid-bit tree (Figure 7) with an MRU cursor,
+// growing on demand. COP-ER stores 45-bit payloads in it, the chipkill
+// extension 157-bit ones. It is not safe for concurrent use; the memory
+// controller serializes access, as the hardware would.
 type PackedStore struct {
 	payloadBits     int // entry payload size (valid bit excluded)
 	entryBits       int // payload + valid bit
@@ -89,11 +89,12 @@ func (r *PackedStore) join(blk, slot int) uint32 {
 	return uint32(blk*r.entriesPerBlock + slot)
 }
 
-func (r *PackedStore) readPayload(b, s int) (valid bool, payload []byte) {
-	blk := r.entryBlocks[b]
-	off := s * r.entryBits
-	return bitio.Bit(blk, off) == 1, bitio.ExtractBits(blk, off+1, r.payloadBits)
+func (r *PackedStore) valid(b, s int) bool {
+	return bitio.Bit(r.entryBlocks[b], s*r.entryBits) == 1
 }
+
+// zeroPayload is the payload a freed entry is cleared to.
+var zeroPayload [BlockBytes]byte
 
 func (r *PackedStore) writePayload(b, s int, valid bool, payload []byte) {
 	blk := r.entryBlocks[b]
@@ -108,7 +109,7 @@ func (r *PackedStore) writePayload(b, s int, valid bool, payload []byte) {
 
 func (r *PackedStore) blockFull(b int) bool {
 	for s := 0; s < r.entriesPerBlock; s++ {
-		if bitio.Bit(r.entryBlocks[b], s*r.entryBits) == 0 {
+		if !r.valid(b, s) {
 			return false
 		}
 	}
@@ -130,10 +131,11 @@ func setTreeBit(blk []byte, i int, v bool) {
 }
 
 func refreshTreeParity(blk []byte) {
-	data := bitio.ExtractBits(blk, 0, ValidBitsPerBlock)
-	cw := validBitCode.Encode(data)
-	check := bitio.ExtractBits(cw, ValidBitsPerBlock, TreeParityBits)
-	bitio.DepositBits(blk, ValidBitsPerBlock, check, TreeParityBits)
+	var cw [BlockBytes]byte
+	var check [2]byte
+	validBitCode.EncodeInto(cw[:], blk)
+	bitio.ExtractBitsInto(check[:], cw[:], ValidBitsPerBlock, TreeParityBits)
+	bitio.DepositBits(blk, ValidBitsPerBlock, check[:], TreeParityBits)
 }
 
 // CheckTreeParity verifies (and, for single-bit errors, repairs) the valid
@@ -209,7 +211,7 @@ func (r *PackedStore) findFreeSlot(accept func(ptr uint32) bool) (blk, slot int,
 				}
 				r.tel.Reads.Inc() // read the candidate entry block
 				for s := 0; s < r.entriesPerBlock; s++ {
-					if bitio.Bit(r.entryBlocks[base+i], s*r.entryBits) == 1 {
+					if r.valid(base+i, s) {
 						continue
 					}
 					if accept(r.join(base+i, s)) {
@@ -240,6 +242,32 @@ func (r *PackedStore) findFreeSlot(accept func(ptr uint32) bool) (blk, slot int,
 		}
 	}
 	return 0, 0, ErrFull
+}
+
+// Place stores payload as the entry of a block that is stored raw and
+// returns the entry's pointer. prev is the block's current entry
+// (NoPointer when it has none): it is rewritten in place when accept
+// keeps it, the paper's reuse path for blocks that stay incompressible
+// across writebacks; otherwise it is freed and a fresh entry that accept
+// approves is allocated. accept lets the codec skip pointers that would
+// leave the block's image an alias (§3.3).
+func (r *PackedStore) Place(prev uint32, payload []byte, accept func(ptr uint32) bool) (uint32, error) {
+	if prev != NoPointer && r.Valid(prev) {
+		if accept(prev) {
+			return prev, r.UpdatePayload(prev, payload)
+		}
+		r.Release(prev)
+	}
+	return r.AllocatePayload(payload, accept)
+}
+
+// Release frees prev's entry, if it is live: the paper's path for a
+// block that becomes compressible again ("the original ECC entry is
+// invalidated").
+func (r *PackedStore) Release(prev uint32) {
+	if prev != NoPointer && r.Valid(prev) {
+		_ = r.Free(prev) // cannot fail: prev is a live entry
+	}
 }
 
 // AllocatePayload claims a free entry and fills it, returning its pointer.
@@ -309,18 +337,19 @@ func (r *PackedStore) setL3(b int, v bool) {
 	}
 }
 
-// ReadPayload returns the payload at ptr.
-func (r *PackedStore) ReadPayload(ptr uint32) ([]byte, error) {
+// ReadPayload copies the payload at ptr into dst (PayloadBytes long, pad
+// bits zeroed).
+func (r *PackedStore) ReadPayload(dst []byte, ptr uint32) error {
 	b, s := r.split(ptr)
 	if b >= len(r.entryBlocks) {
-		return nil, ErrInvalidEntry
+		return ErrInvalidEntry
 	}
 	r.tel.Reads.Inc()
-	valid, payload := r.readPayload(b, s)
-	if !valid {
-		return nil, ErrInvalidEntry
+	if !r.valid(b, s) {
+		return ErrInvalidEntry
 	}
-	return payload, nil
+	bitio.ExtractBitsInto(dst, r.entryBlocks[b], s*r.entryBits+1, r.payloadBits)
+	return nil
 }
 
 // UpdatePayload rewrites a live entry in place.
@@ -333,7 +362,7 @@ func (r *PackedStore) UpdatePayload(ptr uint32, payload []byte) error {
 		return ErrInvalidEntry
 	}
 	r.tel.Reads.Inc()
-	if valid, _ := r.readPayload(b, s); !valid {
+	if !r.valid(b, s) {
 		return ErrInvalidEntry
 	}
 	r.writePayload(b, s, true, payload)
@@ -349,12 +378,11 @@ func (r *PackedStore) Free(ptr uint32) error {
 		return ErrInvalidEntry
 	}
 	r.tel.Reads.Inc()
-	valid, _ := r.readPayload(b, s)
-	if !valid {
+	if !r.valid(b, s) {
 		return ErrInvalidEntry
 	}
 	wasFull := r.blockFull(b)
-	r.writePayload(b, s, false, make([]byte, r.PayloadBytes()))
+	r.writePayload(b, s, false, zeroPayload[:])
 	r.tel.Writes.Inc()
 	r.tel.Frees.Inc()
 	r.tel.Live.Add(-1)
@@ -370,10 +398,7 @@ func (r *PackedStore) Free(ptr uint32) error {
 // Valid reports whether ptr refers to a live entry.
 func (r *PackedStore) Valid(ptr uint32) bool {
 	b, s := r.split(ptr)
-	if b >= len(r.entryBlocks) {
-		return false
-	}
-	return bitio.Bit(r.entryBlocks[b], s*r.entryBits) == 1
+	return b < len(r.entryBlocks) && r.valid(b, s)
 }
 
 // FlipEntryBit flips one bit (0..entryBits-1) of the stored entry at ptr —

@@ -1,6 +1,7 @@
 package eccregion
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -36,19 +37,19 @@ func TestTreeBoundaryAllocFreeRealloc(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.target)))
-			r := New()
+			r := newERStore()
 			for i := 0; i < tc.prefill; i++ {
-				if _, err := r.Allocate(randEntry(rng), nil); err != nil {
+				if _, err := r.AllocatePayload(randPayload(rng), nil); err != nil {
 					t.Fatalf("prefill %d: %v", i, err)
 				}
 			}
 			if !r.Valid(tc.target) {
 				t.Fatalf("entry %d not valid after prefill", tc.target)
 			}
-			if !treeBit(r.store.l3[tc.l3Block], tc.l3Bit) {
+			if !treeBit(r.l3[tc.l3Block], tc.l3Bit) {
 				t.Fatalf("L3[%d] bit %d not set for full block", tc.l3Block, tc.l3Bit)
 			}
-			if tc.checkL2 && !treeBit(r.store.l2[0], 0) {
+			if tc.checkL2 && !treeBit(r.l2[0], 0) {
 				t.Fatal("L2 bit 0 not set with its whole L3 block full")
 			}
 
@@ -58,10 +59,10 @@ func TestTreeBoundaryAllocFreeRealloc(t *testing.T) {
 			if r.Valid(tc.target) {
 				t.Fatal("entry still valid after free")
 			}
-			if treeBit(r.store.l3[tc.l3Block], tc.l3Bit) {
+			if treeBit(r.l3[tc.l3Block], tc.l3Bit) {
 				t.Fatal("L3 bit not cleared by free")
 			}
-			if tc.checkL2 && treeBit(r.store.l2[0], 0) {
+			if tc.checkL2 && treeBit(r.l2[0], 0) {
 				t.Fatal("L2 bit not cleared by free")
 			}
 			if corrected, err := r.CheckTreeParity(); err != nil || corrected != 0 {
@@ -70,22 +71,22 @@ func TestTreeBoundaryAllocFreeRealloc(t *testing.T) {
 
 			// The freed slot is the only hole, so reallocation must land
 			// exactly there and re-fill the block at every level.
-			e := randEntry(rng)
-			ptr, err := r.Allocate(e, nil)
+			e := randPayload(rng)
+			ptr, err := r.AllocatePayload(e, nil)
 			if err != nil {
 				t.Fatalf("realloc: %v", err)
 			}
 			if ptr != tc.target {
 				t.Fatalf("realloc returned %d, want the freed slot %d", ptr, tc.target)
 			}
-			got, err := r.Read(ptr)
-			if err != nil || got.Parity != e.Parity {
-				t.Fatalf("readback after realloc: %+v err=%v", got, err)
+			got, err := read(r, ptr)
+			if err != nil || !bytes.Equal(got, e) {
+				t.Fatalf("readback after realloc: %x err=%v", got, err)
 			}
-			if !treeBit(r.store.l3[tc.l3Block], tc.l3Bit) {
+			if !treeBit(r.l3[tc.l3Block], tc.l3Bit) {
 				t.Fatal("L3 bit not restored by realloc")
 			}
-			if tc.checkL2 && !treeBit(r.store.l2[0], 0) {
+			if tc.checkL2 && !treeBit(r.l2[0], 0) {
 				t.Fatal("L2 bit not restored by realloc")
 			}
 			if corrected, err := r.CheckTreeParity(); err != nil || corrected != 0 {

@@ -15,7 +15,7 @@ import (
 	"cop/internal/cache"
 	"cop/internal/chipkill"
 	"cop/internal/core"
-	"cop/internal/ecc"
+	"cop/internal/eccregion"
 	"cop/internal/telemetry"
 	"cop/internal/trace"
 )
@@ -188,11 +188,8 @@ func New(cfg Config) *Controller {
 func (c *Controller) AttachTracer(h *trace.Handle) {
 	c.th = h
 	c.llc.SetTracer(h)
-	if c.cur.er != nil {
-		c.cur.er.Region().AttachTracer(h)
-	}
-	if c.cur.ck != nil {
-		c.cur.ck.Store().AttachTracer(h)
+	if r := c.cur.region(); r != nil {
+		r.AttachTracer(h)
 	}
 }
 
@@ -212,13 +209,9 @@ func (c *Controller) Snapshot() telemetry.Snapshot {
 		Controller: c.tel.Snapshot(),
 		Cache:      c.llc.Telemetry(),
 	}
-	switch {
-	case c.cur.er != nil:
-		r := c.cur.er.Region().Telemetry()
-		s.Region = &r
-	case c.cur.ck != nil:
-		r := c.cur.ck.Store().Telemetry()
-		s.Region = &r
+	if r := c.cur.region(); r != nil {
+		rt := r.Telemetry()
+		s.Region = &rt
 	}
 	s.Finalize()
 	return s
@@ -227,13 +220,12 @@ func (c *Controller) Snapshot() telemetry.Snapshot {
 // LLC exposes the cache (diagnostics and tests).
 func (c *Controller) LLC() *cache.Cache { return c.llc }
 
-// ER exposes the COP-ER codec in COPER mode (nil otherwise).
-func (c *Controller) ER() *core.ERCodec { return c.cur.er }
+// Region exposes the ECC region in COP-ER and COP-CK-ER modes (nil
+// otherwise): storage accounting and fault injection.
+func (c *Controller) Region() *eccregion.PackedStore { return c.cur.region() }
 
 func align(addr uint64) uint64 { return addr &^ (BlockBytes - 1) }
 
-// Write stores a full 64-byte block at addr (allocating in the LLC; DRAM
-// is updated when the line is eventually evicted or flushed).
 // maxFreeBlocks caps the line-buffer free list (64 B each, 256 KB at the
 // cap). The LLC's working set cycles buffers between fills and evictions;
 // the free list closes that loop so the steady-state datapath stops
@@ -269,6 +261,8 @@ func (c *Controller) putBlock(b []byte) {
 	c.freeBlk = append(c.freeBlk, b)
 }
 
+// Write stores a full 64-byte block at addr (allocating in the LLC; DRAM
+// is updated when the line is eventually evicted or flushed).
 func (c *Controller) Write(addr uint64, data []byte) error {
 	if len(data) != BlockBytes {
 		return fmt.Errorf("memctrl: Write needs %d bytes", BlockBytes)
@@ -302,9 +296,12 @@ func (c *Controller) Write(addr uint64, data []byte) error {
 	buf := c.getBlock()
 	copy(buf, data)
 	line := cache.Line{Addr: addr, Dirty: true, Data: buf}
-	// Preserve an existing COP-ER entry association across the miss: the
-	// "was uncompressed" state would have been captured at fill time; a
-	// full-block store that misses starts clean.
+	// A full-block store that misses starts with no region pointer: the
+	// "was uncompressed" state is captured only by a fill. So when this
+	// line is written back over a raw COP-ER or COP-CK-ER image, the
+	// codec allocates a fresh region entry and the old one is never
+	// freed — the entry leak ROADMAP.md's "Exact ECC-region accounting"
+	// item closes.
 	c.setAliasBit(&line)
 	return c.insert(line)
 }
@@ -374,61 +371,30 @@ func (c *Controller) writeback(victim cache.Line) error {
 // encodeImage encodes data as addr's DRAM image under the current scheme
 // and records the image, its stored kind and the ever-raw bit with one
 // store write, counting the stored/ever-raw totals. It is the only code
-// that writes a DRAM image or records its kind. A core.RejectedAlias
-// status (COP-family incompressible alias) leaves DRAM untouched; the
-// caller decides whether to pin the line. data stays the caller's: no
-// scheme keeps it. prevPtr/hasPrev carry a COP-ER / chipkill line's
-// existing region-entry association.
+// that writes a DRAM image or records its kind, and every scheme encodes
+// in place, into the block's current image when it has the scheme's
+// length. A core.RejectedAlias status (COP-family incompressible alias)
+// or an encode error leaves DRAM untouched; the caller decides whether to
+// pin the line. data stays the caller's: no scheme keeps it.
+// prevPtr/hasPrev carry a COP-ER / chipkill line's existing region-entry
+// association.
 func (c *Controller) encodeImage(addr uint64, data []byte, prevPtr uint32, hasPrev bool) (core.StoreStatus, error) {
 	s := c.cur
-	var image []byte
-	status := core.StoredRaw
-	switch s.mode {
-	case Unprotected:
-		image = c.imageBuf(addr, BlockBytes)
-		copy(image, data)
-	case COP:
-		// EncodeInto rejects an alias before writing, so a rejected store
-		// leaves the image untouched.
-		image = c.imageBuf(addr, BlockBytes)
-		status = s.codec.EncodeInto(image, data, s.sc)
-	case COPER:
-		prev := core.NoPointer
-		if hasPrev {
-			prev = prevPtr
-		}
-		img, _, compressed, err := s.er.Write(data, prev)
-		if err != nil {
-			return 0, err
-		}
-		image, status = img, storedStatus(compressed)
-	case COPChipkill:
-		prev := chipkill.NoPointer
-		if hasPrev {
-			prev = prevPtr
-		}
-		img, _, inline, err := s.ck.Write(data, prev)
-		if err != nil {
-			return 0, err
-		}
-		image, status = img, storedStatus(inline)
-	case COPAdaptive:
-		image, _, status = s.adaptive.Encode(data)
-	case ECCRegion:
-		image = c.imageBuf(addr, regionImageBytes)
-		ecc.SECDED523512.EncodeInto(image, data)
-		c.tel.RegionReads.Inc() // entry write
-	case ECCDIMM:
-		image = c.imageBuf(addr, dimmImageBytes)
-		dimmEncode(image, data)
-		c.tel.DIMMCheckBytesWritten.Add(dimmImageBytes - BlockBytes)
-		status = core.StoredCompressed // protected, inline — closest bucket
+	prev := core.NoPointer
+	if hasPrev {
+		prev = prevPtr
 	}
-	if status == core.RejectedAlias {
-		return status, nil
+	image := c.imageBuf(addr, s.imageLen())
+	status, err := s.encode(image, data, prev)
+	if err != nil || status == core.RejectedAlias {
+		return status, err
 	}
 	kind, raw := StoredKindRaw, false
 	switch s.mode {
+	case ECCRegion:
+		c.tel.RegionReads.Inc() // entry write
+	case ECCDIMM:
+		c.tel.DIMMCheckBytesWritten.Add(dimmImageBytes - BlockBytes)
 	case COP, COPER, COPChipkill, COPAdaptive:
 		// A COP-family raw image is an incompressible block (Fig. 12); a
 		// COP-ER or chipkill one also writes its region entry.
@@ -468,13 +434,6 @@ func (c *Controller) imageBuf(addr uint64, n int) []byte {
 		return c.getBlock()
 	}
 	return make([]byte, n)
-}
-
-func storedStatus(compressed bool) core.StoreStatus {
-	if compressed {
-		return core.StoredCompressed
-	}
-	return core.StoredRaw
 }
 
 // traceAliasRetained records a writeback rejected by the alias check and
@@ -767,6 +726,3 @@ func (c *Controller) InjectChipFailure(addr uint64, chip int, pattern byte) bool
 	chipkill.FailChip(image, chip, pattern)
 	return true
 }
-
-// CK exposes the chipkill codec in COPChipkill mode (nil otherwise).
-func (c *Controller) CK() *chipkill.ERCodec { return c.cur.ck }

@@ -281,14 +281,14 @@ func TestCOPERRegionGrowsOnlyForIncompressible(t *testing.T) {
 		c.Write(uint64(i)*BlockBytes, compressibleData(rng))
 	}
 	c.Flush()
-	if got := c.ER().Region().Telemetry().Live; got != 0 {
+	if got := c.Region().Telemetry().Live; got != 0 {
 		t.Fatalf("compressible-only workload allocated %d entries", got)
 	}
 	for i := 500; i < 600; i++ {
 		c.Write(uint64(i)*BlockBytes, randomData(rng))
 	}
 	c.Flush()
-	if got := c.ER().Region().Telemetry().Live; got == 0 {
+	if got := c.Region().Telemetry().Live; got == 0 {
 		t.Fatal("incompressible blocks allocated no entries")
 	}
 }
@@ -299,7 +299,7 @@ func TestCOPEREntryReuseAcrossRewrite(t *testing.T) {
 	addr := uint64(0x8000)
 	c.Write(addr, randomData(rng))
 	c.Flush()
-	alloc1 := c.ER().Region().Telemetry().Live
+	alloc1 := c.Region().Telemetry().Live
 	// Read (sets WasUncompressed+Ptr), rewrite incompressible, flush.
 	if _, err := c.Read(addr); err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestCOPEREntryReuseAcrossRewrite(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	alloc2 := c.ER().Region().Telemetry().Live
+	alloc2 := c.Region().Telemetry().Live
 	if alloc2 != alloc1 {
 		t.Fatalf("entry count changed on rewrite: %d -> %d", alloc1, alloc2)
 	}
@@ -514,7 +514,7 @@ func TestScrubCOPERPreservesEntryAccounting(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := c.ER().Region().Telemetry().Live
+	before := c.Region().Telemetry().Live
 	c.InjectBitFlip(0xB000, 200)
 	if _, err := c.ScrubBlock(0xB000); err != nil {
 		t.Fatal(err)
@@ -523,7 +523,7 @@ func TestScrubCOPERPreservesEntryAccounting(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("scrubbed read: %v", err)
 	}
-	if after := c.ER().Region().Telemetry().Live; after != before {
+	if after := c.Region().Telemetry().Live; after != before {
 		t.Fatalf("scrub leaked region entries: %d -> %d", before, after)
 	}
 	// The scrub rewrote a clean image: a second fault in the block's
@@ -777,7 +777,7 @@ func TestChipkillModeEntryReuseViaScrub(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := c.CK().Store().Telemetry().Live
+	before := c.Region().Telemetry().Live
 	c.InjectChipFailure(0xF000, 5, 0xFF)
 	if _, err := c.ScrubBlock(0xF000); err != nil {
 		t.Fatal(err)
@@ -789,7 +789,7 @@ func TestChipkillModeEntryReuseViaScrub(t *testing.T) {
 	if c.Snapshot().Controller.Scrubs == 0 {
 		t.Fatal("scrub not performed")
 	}
-	if after := c.CK().Store().Telemetry().Live; after != before {
+	if after := c.Region().Telemetry().Live; after != before {
 		t.Fatalf("scrub leaked entries: %d -> %d", before, after)
 	}
 	// The scrub rewrote a clean image: a second chip failure (different

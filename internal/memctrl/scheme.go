@@ -7,6 +7,7 @@ import (
 	"cop/internal/chipkill"
 	"cop/internal/core"
 	"cop/internal/ecc"
+	"cop/internal/eccregion"
 )
 
 // Image lengths of the schemes that keep check bits beside the data. An
@@ -28,7 +29,7 @@ const (
 type scheme struct {
 	mode     Mode
 	codec    *core.Codec        // COP
-	sc       *core.CodecScratch // COP codec scratch; controllers are single-threaded
+	sc       *core.CodecScratch // COP and COP-adaptive scratch; controllers are single-threaded
 	er       *core.ERCodec      // COP-ER
 	adaptive *core.AdaptiveCodec
 	ck       *chipkill.ERCodec
@@ -49,10 +50,66 @@ func newScheme(mode Mode, copCfg core.Config) *scheme {
 		s.er = core.NewERCodec(copCfg)
 	case COPAdaptive:
 		s.adaptive = core.NewAdaptiveCodec()
+		s.sc = s.adaptive.Standard().NewScratch()
 	case COPChipkill:
 		s.ck = chipkill.NewER()
 	}
 	return s
+}
+
+// region returns the scheme's ECC region: COP-ER's and COP-CK-ER's entry
+// store, nil for the schemes that keep none.
+func (s *scheme) region() *eccregion.PackedStore {
+	switch {
+	case s.er != nil:
+		return s.er.Region()
+	case s.ck != nil:
+		return s.ck.Region()
+	}
+	return nil
+}
+
+// imageLen is the length of the scheme's DRAM images.
+func (s *scheme) imageLen() int {
+	switch s.mode {
+	case ECCRegion:
+		return regionImageBytes
+	case ECCDIMM:
+		return dimmImageBytes
+	}
+	return BlockBytes
+}
+
+// encode writes data's DRAM image into dst (imageLen long) and returns
+// how the block was stored. prev is the region pointer a COP-ER or
+// chipkill line latched (core.NoPointer otherwise). Every encoder decides
+// RejectedAlias, and finishes every region step that can fail, before it
+// writes dst, so a rejected or failed store leaves the old image intact.
+// An ECC DIMM image counts as compressed: protected, inline.
+func (s *scheme) encode(dst, data []byte, prev uint32) (status core.StoreStatus, err error) {
+	switch s.mode {
+	case Unprotected:
+		copy(dst, data)
+		return core.StoredRaw, nil
+	case COP:
+		return s.codec.EncodeInto(dst, data, s.sc), nil
+	case COPER:
+		_, status, err = s.er.WriteInto(dst, data, prev)
+		return status, err
+	case COPChipkill:
+		_, status, err = s.ck.WriteInto(dst, data, prev)
+		return status, err
+	case COPAdaptive:
+		_, status = s.adaptive.EncodeInto(dst, data, s.sc)
+		return status, nil
+	case ECCRegion:
+		ecc.SECDED523512.EncodeInto(dst, data)
+		return core.StoredRaw, nil
+	case ECCDIMM:
+		dimmEncode(dst, data)
+		return core.StoredCompressed, nil
+	}
+	return 0, fmt.Errorf("memctrl: cannot encode scheme %v", s.mode)
 }
 
 // decode decodes image, a DRAM image the scheme wrote, into dst
@@ -83,7 +140,7 @@ func (s *scheme) decode(dst, image []byte) (rinfo ReadInfo, ptr uint32, segMask 
 			err = fmt.Errorf("%w: %v", ErrUncorrectable, derr)
 		}
 	case COPER:
-		block, info, derr := s.er.Read(image)
+		info, derr := s.er.ReadInto(dst, image)
 		rinfo.DecodedCompressed = info.Compressed
 		rinfo.ValidCodewords = info.ValidCodewords
 		rinfo.CorrectedPointer = info.CorrectedPointer
@@ -94,10 +151,9 @@ func (s *scheme) decode(dst, image []byte) (rinfo ReadInfo, ptr uint32, segMask 
 		if derr != nil {
 			return rinfo, ptr, 0, fmt.Errorf("%w: %v", ErrUncorrectable, derr)
 		}
-		copy(dst, block)
 		ptr = info.Ptr
 	case COPChipkill:
-		block, info, derr := s.ck.Read(image)
+		info, derr := s.ck.ReadInto(dst, image)
 		rinfo.DecodedCompressed = !info.RegionAccess
 		rinfo.RegionAccess = info.RegionAccess
 		if info.FailedChip >= 0 || info.CorrectedEntry {
@@ -106,10 +162,9 @@ func (s *scheme) decode(dst, image []byte) (rinfo ReadInfo, ptr uint32, segMask 
 		if derr != nil {
 			return rinfo, ptr, 0, fmt.Errorf("%w: %v", ErrUncorrectable, derr)
 		}
-		copy(dst, block)
 		ptr = info.Ptr
 	case COPAdaptive:
-		block, _, info, derr := s.adaptive.Decode(image)
+		_, info, derr := s.adaptive.DecodeInto(dst, image, s.sc)
 		rinfo.DecodedCompressed = info.Compressed
 		rinfo.ValidCodewords = info.ValidCodewords
 		rinfo.Corrected = len(info.CorrectedSegments)
@@ -117,7 +172,6 @@ func (s *scheme) decode(dst, image []byte) (rinfo ReadInfo, ptr uint32, segMask 
 		if derr != nil {
 			return rinfo, ptr, segMask, fmt.Errorf("%w: %v", ErrUncorrectable, derr)
 		}
-		copy(dst, block)
 	case ECCRegion:
 		rinfo.RegionAccess = true
 		var corrected bool

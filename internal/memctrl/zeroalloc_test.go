@@ -72,13 +72,12 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	}
 }
 
-// TestZeroAllocImageRewrite pins the one buffer rule: the schemes that
-// encode in place (unprotected, COP, ECC region, ECC DIMM) rewrite a
-// block's existing image in its own buffer and recycle every line buffer,
-// so a steady stream of LLC misses — each a fill plus a dirty victim's
-// writeback — allocates nothing.
+// TestZeroAllocImageRewrite pins the one buffer rule: every scheme
+// encodes in place, rewriting a block's existing image in its own buffer,
+// and every line buffer is recycled, so a steady stream of LLC misses —
+// each a fill plus a dirty victim's writeback — allocates nothing.
 func TestZeroAllocImageRewrite(t *testing.T) {
-	for _, m := range []Mode{Unprotected, COP, ECCRegion, ECCDIMM} {
+	for _, m := range []Mode{Unprotected, COP, COPER, ECCRegion, ECCDIMM, COPAdaptive, COPChipkill} {
 		c := New(Config{Mode: m, LLCBytes: 4096, LLCWays: 4})
 		const blocks = 512 // 8× the LLC: every access misses
 		data := make([]byte, BlockBytes)
